@@ -27,8 +27,8 @@ def main():
         print(f"line {record.line_id}: event {record.output_id}  {record.template_text}")
 
     print("\nfinal template catalog:")
-    for output_id, template, members in dag.snapshot_groups():
-        print(f"  event {output_id}: {template!r}  lines={members}")
+    for output_id, template, occurrences in dag.snapshot_groups():
+        print(f"  event {output_id}: {template!r}  occurrences={occurrences}")
 
 
 if __name__ == "__main__":

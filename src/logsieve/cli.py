@@ -11,11 +11,12 @@ Exit codes: 0 success, 1 usage/configuration error, 2 IO error.
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
@@ -36,6 +37,8 @@ CATALOG_CSV = "templates.csv"
 STATS_FILE = "stats.json"
 REPORT_CSV = "report.csv"
 BENCH_CSV = "bench.csv"
+# Timed runs per size in ``run_bench`` (odd, so the median is one run's time).
+BENCH_ROUNDS = 5
 
 
 @dataclass
@@ -129,7 +132,9 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
 
     Structured records are appended to the CSV as they are produced; the
     template catalog and stats are written at end of stream. Memory stays
-    bounded by the graph size, not the input size.
+    bounded by the graph size, not the input size. Line IDs continue from the
+    lines the given graph has already absorbed, so a resumed stream goes on
+    numbering where the saved one stopped.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,7 +153,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     with open(out_dir / STRUCTURED_CSV, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["LineId", "OutputId", "EventTemplate"])
-        line_id = 0
+        first_id = line_id = sum(g.count for g in dag.groups.values())
         for raw in lines:
             raw = raw.rstrip("\n")
             if not raw:
@@ -163,50 +168,29 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
                 content = apply_preprocess(rules, content)
             record = dag.parse_line(line_id, tokenize(content))
             writer.writerow([record.line_id, record.output_id, record.template_text])
-    stats.lines_parsed = line_id
+    stats.lines_parsed = line_id - first_id
     stats.cache_hits = dag.cache_hits - cache_hits_before
     snapshot = dag.snapshot_groups()
     stats.templates_final = len(snapshot)
     with open(out_dir / CATALOG_CSV, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["OutputId", "EventTemplate", "Occurrences"])
-        for output_id, template_text, members in snapshot:
-            writer.writerow([output_id, template_text, len(members)])
+        writer.writerows(snapshot)
     stats.wall_time = time.perf_counter() - start
-    (out_dir / STATS_FILE).write_text(
-        json.dumps(
-            {
-                "lines_parsed": stats.lines_parsed,
-                "malformed_skipped": stats.malformed_skipped,
-                "templates_final": stats.templates_final,
-                "wall_time": stats.wall_time,
-                "cache_hits": stats.cache_hits,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    (out_dir / STATS_FILE).write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
     return stats, dag
 
 
-def predicted_partition(dag: ParseDag) -> dict:
-    """line ID -> output-node ID, the parser's final (post-merge) answer."""
-    partition = {}
-    for output_id, _, members in dag.snapshot_groups():
-        for line_id in members:
-            partition[line_id] = output_id
-    return partition
-
-
 def run_eval(config: RunConfig, lines, out_dir, truth_path, dataset: str = "dataset"):
-    """Parse the stream, score it against ground truth, write the report row."""
-    stats, dag = run_stream(config, lines, out_dir)
+    """Parse the stream, score it against ground truth, write the report row.
+
+    The predicted partition is the OutputId column of the structured records,
+    final when emitted: a merge moves only a group not yet emitted."""
+    stats, _ = run_stream(config, lines, out_dir)
     truth = load_ground_truth(truth_path)
-    predicted = predicted_partition(dag)
-    counts = pair_counts(predicted, truth)
-    precision, recall, f = f_measure(counts)
     out_dir = Path(out_dir)
+    predicted = load_ground_truth(out_dir / STRUCTURED_CSV)  # LineId -> OutputId
+    precision, recall, f = f_measure(pair_counts(predicted, truth))
     with open(out_dir / REPORT_CSV, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "precision", "recall", "f_measure", "n_lines", "n_templates"])
@@ -229,18 +213,24 @@ def run_bench(
     n_templates: int = 40,
 ) -> list[tuple[int, float]]:
     """Time full streaming runs at each size, sampling lines with replacement
-    from the given pool (or a synthetic template pool), and write the table."""
+    from the given pool (or a synthetic template pool), and write the table.
+
+    Each size runs BENCH_ROUNDS times, the sizes taking turns round-robin so a
+    slow phase of the machine slows every size alike; a size's time is the
+    median of its runs."""
     rng = random.Random(seed)
     if pool_lines is None:
         templates = synth.make_templates(rng, n_templates)
         pool_lines, _ = synth.make_stream(rng, templates, 10_000)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for size in sizes:
-        sample = rng.choices(pool_lines, k=size)
-        stats, _ = run_stream(config, sample, out_dir / f"bench_{size}")
-        rows.append((size, stats.wall_time))
+    samples = [(size, rng.choices(pool_lines, k=size)) for size in sizes]
+    times = [[] for _ in samples]
+    for _ in range(BENCH_ROUNDS):
+        for (size, sample), runs in zip(samples, times):
+            stats, _ = run_stream(config, sample, out_dir / f"bench_{size}")
+            runs.append(stats.wall_time)
+    rows = [(size, sorted(runs)[BENCH_ROUNDS // 2]) for (size, _), runs in zip(samples, times)]
     with open(out_dir / BENCH_CSV, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["size", "seconds", "lines_per_sec"])
@@ -254,7 +244,7 @@ def run_bench(
 
 def _open_input(path: str):
     if path == "-":
-        return sys.stdin
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="replace")
     return open(path, encoding="utf-8", errors="replace")
 
 
@@ -311,6 +301,11 @@ def main(argv: list[str] | None = None) -> int:
                     Path(args.load_state).read_text(encoding="utf-8"),
                     cache_enabled=config.cache_enabled,
                 )
+                differ = [name for name in ("merge_enabled", "merge_threshold", "special_chars")
+                          if getattr(dag, name) != getattr(config, name)]
+                if differ:
+                    raise ValueError(f"{args.load_state}: the saved {', '.join(differ)} "
+                                     "must match the config's")
             with _open_input(args.input) as fh:
                 stats, dag = run_stream(config, fh, args.output_dir, dag=dag)
             if args.save_state:

@@ -10,9 +10,9 @@ time; snapshots may be read when no writer is active.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
-from .preprocess import SplitKey, select_split_token, DEFAULT_SPECIAL_CHARS
+from .preprocess import FIRST, LAST, SplitKey, select_split_token, DEFAULT_SPECIAL_CHARS
 from .similarity import (
     Token,
     WILDCARD,
@@ -24,7 +24,7 @@ from .similarity import (
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v1"
+SNAPSHOT_SCHEMA = "logsieve-state-v2"
 
 
 def render_template(event: list[Token]) -> str:
@@ -36,7 +36,7 @@ def render_template(event: list[Token]) -> str:
 class LogGroup:
     group_id: int
     event: list[Token]
-    member_ids: list[int]
+    count: int  # messages absorbed so far
     threshold: ThresholdState | None  # None only for the empty-message group
     output_id: int
 
@@ -83,8 +83,6 @@ class ParseDag:
         self.length_nodes: dict[int, LengthNode] = {}
         self.groups: dict[int, LogGroup] = {}
         self.outputs: dict[int, OutputNode] = {}
-        self._next_group_id = 1
-        self._next_output_id = 1
         self.cache_hits = 0
 
     # -- rendering -------------------------------------------------------
@@ -153,22 +151,20 @@ class ParseDag:
         key = select_split_token(tokens, self.special_chars) if tokens else None
         group_ids = length_node.split_nodes.setdefault(key, [])
 
-        group_id = self._next_group_id
-        self._next_group_id += 1
-        output_id = self._next_output_id
-        self._next_output_id += 1
-
+        # Group IDs are 1..n in creation order; a new group opens its own
+        # output node, whose ID is the group's.
+        group_id = len(self.groups) + 1
         threshold = new_threshold_state(tokens) if tokens else None
         group = LogGroup(
             group_id=group_id,
             event=list(tokens),
-            member_ids=[],
+            count=1,
             threshold=threshold,
-            output_id=output_id,
+            output_id=group_id,
         )
         group_ids.append(group_id)
         self.groups[group_id] = group
-        self.outputs[output_id] = OutputNode(output_id=output_id, group_ids=[group_id])
+        self.outputs[group_id] = OutputNode(output_id=group_id, group_ids=[group_id])
 
         if self.merge_enabled and tokens:
             self._try_merge(group)
@@ -199,10 +195,11 @@ class ParseDag:
         new_group.output_id = best_id
         return best_id
 
-    def update_group(self, group: LogGroup, line_id: int, tokens: list[str]) -> int:
-        """Absorb a matched message: record membership, wildcard every literal
-        position that disagrees, and advance the threshold counter."""
-        group.member_ids.append(line_id)
+    def update_group(self, group: LogGroup, tokens: list[str]) -> int:
+        """Absorb a matched message: count it, wildcard every literal position
+        that disagrees, and advance the threshold counter. Returns the number
+        of wildcards added."""
+        group.count += 1
         replaced = 0
         event = group.event
         for i, token in enumerate(tokens):
@@ -219,10 +216,9 @@ class ParseDag:
         if group_id is None:
             group_id = self.create_group(tokens)
             group = self.groups[group_id]
-            group.member_ids.append(line_id)
         else:
             group = self.groups[group_id]
-            self.update_group(group, line_id, tokens)
+            self.update_group(group, tokens)
         self.length_nodes[len(tokens)].cache = group_id
         return StructuredRecord(
             line_id=line_id,
@@ -233,116 +229,119 @@ class ParseDag:
 
     # -- reporting -------------------------------------------------------
 
-    def snapshot_groups(self) -> list[tuple[int, str, list[int]]]:
-        """Creation-ordered dump of output nodes with merged member-ID lists."""
-        out = []
-        for output_id in sorted(self.outputs):
-            node = self.outputs[output_id]
-            members: list[int] = []
-            for gid in node.group_ids:
-                members.extend(self.groups[gid].member_ids)
-            members.sort()
-            out.append((output_id, render_template(self.output_template(output_id)), members))
-        return out
+    def snapshot_groups(self) -> list[tuple[int, str, int]]:
+        """Creation-ordered (output_id, template_text, occurrences) per output
+        node; occurrences sum the counts of the node's groups."""
+        return [
+            (
+                output_id,
+                render_template(self.output_template(output_id)),
+                sum(self.groups[gid].count for gid in node.group_ids),
+            )
+            for output_id, node in sorted(self.outputs.items())
+        ]
 
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize parser state for resumable streaming."""
-
-        def enc(event):
-            return [{"w": True} if t is None else t for t in event]
-
+        """Serialize what resuming the stream needs: the settings a resumed run
+        must match, one entry per group, the merged templates (keyed by output
+        ID) and each length node's cache pointer. Wildcards are JSON null."""
+        keys = {gid: key for node in self.length_nodes.values()
+                for key, ids in node.split_nodes.items() for gid in ids}
         state = {
             "schema": SNAPSHOT_SCHEMA,
             "merge_enabled": self.merge_enabled,
             "merge_threshold": self.merge_threshold,
             "special_chars": "".join(sorted(self.special_chars)),
-            "next_group_id": self._next_group_id,
-            "next_output_id": self._next_output_id,
-            "length_nodes": [
-                {
-                    "length": length,
-                    "cache": node.cache,
-                    "split_nodes": [
-                        {
-                            "key": list(key) if key is not None else None,
-                            "group_ids": ids,
-                        }
-                        for key, ids in node.split_nodes.items()
-                    ],
-                }
-                for length, node in sorted(self.length_nodes.items())
-            ],
             "groups": [
-                {
-                    "group_id": g.group_id,
-                    "event": enc(g.event),
-                    "member_ids": g.member_ids,
-                    "output_id": g.output_id,
-                    "threshold": None
-                    if g.threshold is None
-                    else {
-                        "st_init": g.threshold.st_init,
-                        "base": g.threshold.base,
-                        "eta": g.threshold.eta,
-                        "dig_len": g.threshold.dig_len,
-                        "seq_len": g.threshold.seq_len,
-                    },
-                }
-                for _, g in sorted(self.groups.items())
+                {"id": gid, "key": keys[gid], "event": g.event, "count": g.count,
+                 "output": g.output_id,
+                 "threshold": None if g.threshold is None else astuple(g.threshold)}
+                for gid, g in sorted(self.groups.items())
             ],
-            "outputs": [
-                {
-                    "output_id": o.output_id,
-                    "group_ids": o.group_ids,
-                    "merged_template": None
-                    if o.merged_template is None
-                    else enc(o.merged_template),
-                }
-                for _, o in sorted(self.outputs.items())
-            ],
+            "merged": {oid: node.merged_template for oid, node in self.outputs.items()
+                       if node.merged_template is not None},
+            "cache": {n: node.cache for n, node in self.length_nodes.items()
+                      if node.cache is not None},
         }
-        return json.dumps(state, indent=2)
+        return json.dumps(state, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str, cache_enabled: bool = True) -> "ParseDag":
-        state = json.loads(text)
-        if state.get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(f"unsupported state schema: {state.get('schema')!r}")
-
-        def dec(event):
-            return [None if isinstance(t, dict) else t for t in event]
-
-        dag = cls(
-            merge_enabled=state["merge_enabled"],
-            merge_threshold=state["merge_threshold"],
-            special_chars=frozenset(state["special_chars"]),
-            cache_enabled=cache_enabled,
-        )
-        dag._next_group_id = state["next_group_id"]
-        dag._next_output_id = state["next_output_id"]
-        for entry in state["length_nodes"]:
-            node = LengthNode(cache=entry["cache"])
-            for sn in entry["split_nodes"]:
-                key = tuple(sn["key"]) if sn["key"] is not None else None
-                node.split_nodes[key] = list(sn["group_ids"])
-            dag.length_nodes[entry["length"]] = node
+        """Rebuild a parser from ``to_json`` output. The length/split index and
+        the output nodes' group lists are derived from the groups, in ID order.
+        Raises ValueError naming the first problem of any other input."""
+        state = _checked_state(text)
+        dag = cls(state["merge_enabled"], state["merge_threshold"],
+                  frozenset(state["special_chars"]), cache_enabled)
         for entry in state["groups"]:
-            thr = entry["threshold"]
-            dag.groups[entry["group_id"]] = LogGroup(
-                group_id=entry["group_id"],
-                event=dec(entry["event"]),
-                member_ids=list(entry["member_ids"]),
-                threshold=None if thr is None else ThresholdState(**thr),
-                output_id=entry["output_id"],
-            )
-        for entry in state["outputs"]:
-            dag.outputs[entry["output_id"]] = OutputNode(
-                output_id=entry["output_id"],
-                group_ids=list(entry["group_ids"]),
-                merged_template=None
-                if entry["merged_template"] is None
-                else dec(entry["merged_template"]),
-            )
+            gid, event, thr, out = entry["id"], entry["event"], entry["threshold"], entry["output"]
+            key = None if entry["key"] is None else tuple(entry["key"])
+            threshold = None if thr is None else ThresholdState(*thr)
+            dag.groups[gid] = LogGroup(gid, event, entry["count"], threshold, out)
+            length_node = dag.length_nodes.setdefault(len(event), LengthNode())
+            length_node.split_nodes.setdefault(key, []).append(gid)
+            dag.outputs.setdefault(out, OutputNode(out, [])).group_ids.append(gid)
+        for oid, template in state["merged"].items():
+            dag.outputs[int(oid)].merged_template = template
+        for length, gid in state["cache"].items():
+            dag.length_nodes[int(length)].cache = gid
         return dag
+
+
+# -- state validation ----------------------------------------------------
+
+_STATE_KEYS = ["cache", "groups", "merge_enabled", "merge_threshold", "merged", "schema",
+               "special_chars"]
+_GROUP_KEYS = ["count", "event", "id", "key", "output", "threshold"]
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise ValueError(f"bad state file: {problem}")
+
+
+def _is_list(value, *types) -> bool:
+    """A JSON array holding exactly one item of each given type, in order."""
+    return isinstance(value, list) and [type(t) for t in value] == list(types)
+
+
+def _is_event(value) -> bool:
+    return isinstance(value, list) and all(t is None or type(t) is str for t in value)
+
+
+def _checked_state(text: str) -> dict:
+    """Parse a v2 state, checking its keys, types and cross-references."""
+    try:
+        state = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad state file: not valid JSON ({exc})") from None
+    schema = state.get("schema") if isinstance(state, dict) else None
+    _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
+    _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
+    threshold, groups = state["merge_threshold"], state["groups"]
+    _require(type(state["merge_enabled"]) is bool and type(state["special_chars"]) is str
+             and (threshold is None or type(threshold) in (int, float)), "bad settings")
+    _require(isinstance(groups, list) and isinstance(state["merged"], dict)
+             and isinstance(state["cache"], dict), "groups must be an array, merged and cache maps")
+    for gid, group in enumerate(groups, start=1):
+        _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
+                 f"group {gid}: the keys must be {_GROUP_KEYS}")
+        key, event, thr, out = group["key"], group["event"], group["threshold"], group["output"]
+        _require(type(group["id"]) is int and group["id"] == gid, f"group {gid}: IDs must run 1..n")
+        _require(type(group["count"]) is int and group["count"] > 0 and _is_event(event),
+                 f"group {gid}: bad count or event")
+        _require(key is None or _is_list(key, str, str) and key[0] in (FIRST, LAST),
+                 f"group {gid}: bad split key")
+        _require(thr is None if not event else _is_list(thr, float, int, int)
+                 and thr[1] >= 2 and thr[2] >= 0, f"group {gid}: bad threshold")
+        _require(out == gid or type(out) is int and 0 < out < gid
+                 and groups[out - 1]["output"] == out, f"group {gid}: bad output {out!r}")
+    for oid, template in state["merged"].items():
+        _require(oid.isdecimal() and 0 < int(oid) <= len(groups) and _is_event(template)
+                 and groups[int(oid) - 1]["output"] == int(oid), f"merged: bad entry {oid!r}")
+    for length, gid in state["cache"].items():
+        _require(length.isdecimal() and type(gid) is int and 0 < gid <= len(groups)
+                 and len(groups[gid - 1]["event"]) == int(length), f"cache: bad entry {length!r}")
+    return state

@@ -45,15 +45,13 @@ def sim_seq(message: list[str], event: list[Token]) -> float:
 class ThresholdState:
     """Per-group adaptive acceptance threshold.
 
-    ``dig_len``, ``seq_len`` and ``base`` are frozen at group creation;
-    ``eta`` counts template tokens replaced by wildcards so far.
+    ``st_init`` and ``base`` are frozen at group creation; ``eta`` counts
+    template tokens replaced by wildcards so far.
     """
 
     st_init: float
     base: int
     eta: int
-    dig_len: int
-    seq_len: int
 
 
 def new_threshold_state(tokens: list[str]) -> ThresholdState:
@@ -66,7 +64,7 @@ def new_threshold_state(tokens: list[str]) -> ThresholdState:
     dig_len = sum(1 for t in tokens if has_digit(t))
     st_init = 0.5 * (seq_len - dig_len) / seq_len
     base = max(2, dig_len + 1)
-    return ThresholdState(st_init=st_init, base=base, eta=0, dig_len=dig_len, seq_len=seq_len)
+    return ThresholdState(st_init=st_init, base=base, eta=0)
 
 
 def current_st(state: ThresholdState) -> float:

@@ -5,6 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -49,9 +50,9 @@ def test_criterion_1_formula_unit_suite():
     state = new_threshold_state(["n1", "n2", "n3", "n4"])
     assert abs(state.st_init - 0.0) < TOL and state.base == 5
 
-    assert abs(current_st(ThresholdState(1 / 3, 2, 0, 1, 3)) - 1 / 3) < TOL
-    assert abs(current_st(ThresholdState(1 / 3, 2, 1, 1, 3)) - 5 / 6) < TOL
-    assert abs(current_st(ThresholdState(0.5, 2, 7, 0, 4)) - 1.0) < TOL
+    assert abs(current_st(ThresholdState(1 / 3, 2, 0)) - 1 / 3) < TOL
+    assert abs(current_st(ThresholdState(1 / 3, 2, 1)) - 5 / 6) < TOL
+    assert abs(current_st(ThresholdState(0.5, 2, 7)) - 1.0) < TOL
 
     assert abs(tem_sim([1, 2, 3, 4], [2, 4, 5]) - 2 / 3) < TOL
     assert abs(tem_sim(["a", "b"], ["a", "b"]) - 1.0) < TOL
@@ -176,9 +177,10 @@ def test_criterion_8_invariant_suite():
         lines, _ = synth.make_stream(rng, templates, n_lines)
         dag = ParseDag()
         prev = {}
+        records = []
         for i, line in enumerate(lines, start=1):
             tokens = line.split()
-            dag.parse_line(i, tokens)
+            records.append(dag.parse_line(i, tokens))
             group = dag.groups[dag.length_nodes[len(tokens)].cache]
             if group.group_id in prev:
                 old_event, old_eta = prev[group.group_id]
@@ -190,9 +192,13 @@ def test_criterion_8_invariant_suite():
             assert current_st(group.threshold) <= 1.0 + 1e-12
             prev[group.group_id] = (list(group.event), group.threshold.eta)
 
-        # partition totality
-        members = sorted(m for _, _, ms in dag.snapshot_groups() for m in ms)
-        assert members == list(range(1, n_lines + 1))
+        # partition totality: one record per line, each in a snapshot node
+        # whose occurrences count exactly its records
+        snapshot = dag.snapshot_groups()
+        assert [r.line_id for r in records] == list(range(1, n_lines + 1))
+        assert all(r.output_id in {oid for oid, _, _ in snapshot} for r in records)
+        assert sum(occ for _, _, occ in snapshot) == n_lines
+        assert dict(Counter(r.output_id for r in records)) == {oid: occ for oid, _, occ in snapshot}
 
         # fixed depth: every group reachable by exactly length -> key -> list
         for length, node in dag.length_nodes.items():

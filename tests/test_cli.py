@@ -1,6 +1,12 @@
 import csv
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logsieve.cli import (
     LineFormat,
@@ -12,6 +18,7 @@ from logsieve.cli import (
     run_eval,
     run_stream,
 )
+from logsieve.dag import ParseDag
 from logsieve.preprocess import ConfigError, PreprocessRule
 
 HDFS_LINE = (
@@ -169,6 +176,9 @@ class TestMainCli:
                      "--load-state", str(state)]) == 0
         catalog = (tmp_path / "o2" / "templates.csv").read_text()
         assert "Send file *" in catalog
+        # line IDs continue from the saved stream
+        rows = (tmp_path / "o2" / "structured.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["2"]
 
     def test_eval_subcommand(self, tmp_path, capsys):
         inp = tmp_path / "in.log"
@@ -199,3 +209,108 @@ class TestMainCli:
     def test_bad_sizes_is_usage_error(self, tmp_path):
         code = main(["bench", "--sizes", "12,potato", "--output-dir", str(tmp_path)])
         assert code == 1
+
+    def test_stdin_bad_bytes_decode_like_file_input(self, tmp_path, monkeypatch):
+        # Real stdin decodes with surrogateescape; a bad byte must not stop the run.
+        raw = io.BytesIO(b"ok line\n\xff bad\nmore\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, errors="surrogateescape"))
+        code = main(["parse", "--input", "-", "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        with open(tmp_path / "out" / "structured.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        assert rows[1][2] == "\ufffd bad"
+
+
+V1_STATE = {
+    "schema": "logsieve-state-v1", "merge_enabled": False, "merge_threshold": None,
+    "special_chars": "#$')*+,/<=>@^_`|~", "next_group_id": 2, "next_output_id": 2,
+    "length_nodes": [{"length": 3, "cache": 1,
+                      "split_nodes": [{"key": ["first", "Send"], "group_ids": [1]}]}],
+    "groups": [{"group_id": 1, "event": ["Send", "file", {"w": True}], "member_ids": [1, 2],
+                "output_id": 1, "threshold": {"st_init": 0.3333333333333333, "base": 2,
+                                              "eta": 1, "dig_len": 1, "seq_len": 3}}],
+    "outputs": [{"output_id": 1, "group_ids": [1], "merged_template": None}],
+}
+
+
+class TestStateFiles:
+    """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
+
+    def saved_state(self, tmp_path) -> str:
+        inp = tmp_path / "in.log"
+        inp.write_text("Send file file_01\nSend file file_02\n")
+        state = tmp_path / "state.json"
+        assert main(["parse", "--input", str(inp), "--output-dir", str(tmp_path / "o1"),
+                     "--save-state", str(state)]) == 0
+        return state.read_text()
+
+    def resume_with(self, tmp_path, capsys, state_text, *extra) -> str:
+        state = tmp_path / "bad.json"
+        state.write_text(state_text)
+        inp = tmp_path / "in2.log"
+        inp.write_text("Send file file_03\n")
+        capsys.readouterr()
+        code = main(["parse", "--input", str(inp), "--output-dir", str(tmp_path / "o2"),
+                     "--load-state", str(state), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return err
+
+    def test_v1_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, json.dumps(V1_STATE))
+        assert "logsieve-state-v1" in err
+
+    def test_truncated_file(self, tmp_path, capsys):
+        text = self.saved_state(tmp_path)
+        self.resume_with(tmp_path, capsys, text[: len(text) // 2])
+
+    def test_missing_key(self, tmp_path, capsys):
+        state = json.loads(self.saved_state(tmp_path))
+        del state["groups"][0]["count"]
+        self.resume_with(tmp_path, capsys, json.dumps(state))
+
+    def test_wrong_type(self, tmp_path, capsys):
+        state = json.loads(self.saved_state(tmp_path))
+        state["groups"][0]["count"] = "2"
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert "count" in err
+
+    def test_settings_differ_from_config(self, tmp_path, capsys):
+        text = self.saved_state(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("merge_enabled: true\nmerge_threshold: 0.9\n")
+        err = self.resume_with(tmp_path, capsys, text, "--config", str(cfg))
+        assert "merge_enabled" in err and "merge_threshold" in err
+
+
+# Tiny vocabulary, shared head words and digit-bearing end tokens: many lines
+# share a length and split key, and many route to the None key.
+_HEADS = ["svc", "svc", "job", "n1"]
+_WORDS = ["a", "b", "open", "x1", "42"]
+_LINE = st.tuples(st.sampled_from(_HEADS), st.lists(st.sampled_from(_WORDS), max_size=3)).map(
+    lambda parts: " ".join([parts[0], *parts[1]])
+)
+
+
+class TestResume:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=30), merge=st.booleans(), data=st.data())
+    def test_save_load_continue_equals_one_pass(self, lines, merge, data):
+        split = data.draw(st.integers(0, len(lines)))
+        config = RunConfig(merge_enabled=merge, merge_threshold=0.6 if merge else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            _, head = run_stream(config, lines[:split], out / "head")
+            resumed = ParseDag.from_json(head.to_json())
+            _, resumed = run_stream(config, lines[split:], out / "tail", dag=resumed)
+            _, whole = run_stream(config, lines, out / "whole")
+
+            def rows(run, name):
+                return (out / run / name).read_text(encoding="utf-8").splitlines()
+
+            head, tail = rows("head", "structured.csv"), rows("tail", "structured.csv")
+            assert head + tail[1:] == rows("whole", "structured.csv")
+            assert rows("tail", "templates.csv") == rows("whole", "templates.csv")
+            assert resumed.to_json() == whole.to_json()

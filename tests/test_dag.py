@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,8 +34,8 @@ class TestParseLine:
         rec = dag.parse_line(3, ["Open", "user", "info"])
         assert rec.group_id == 2
         assert dag.snapshot_groups() == [
-            (1, "Send file *", [1, 2]),
-            (2, "Open user info", [3]),
+            (1, "Send file *", 2),
+            (2, "Open user info", 1),
         ]
 
     def test_dag_growth_walkthrough(self):
@@ -148,7 +149,7 @@ class TestSnapshotAndState:
     def test_single_message_snapshot(self):
         dag = ParseDag()
         dag.parse_line(1, ["hello", "world", "x"])
-        assert dag.snapshot_groups() == [(1, "hello world x", [1])]
+        assert dag.snapshot_groups() == [(1, "hello world x", 1)]
 
     def test_state_roundtrip_continues_identically(self):
         rng = random.Random(3)
@@ -172,6 +173,17 @@ class TestSnapshotAndState:
         with pytest.raises(ValueError):
             ParseDag.from_json('{"schema": "nope"}')
 
+    def test_state_size_independent_of_stream_length(self):
+        rng = random.Random(0)
+        templates = synth.make_templates(rng, 40)
+        pool, _ = synth.make_stream(rng, templates, 10_000)
+        sizes = []
+        for n_lines in (10_000, 100_000):
+            dag = ParseDag()
+            parse_all(dag, rng.choices(pool, k=n_lines))
+            sizes.append(len(dag.to_json()))
+        assert sizes[1] <= 1.05 * sizes[0]
+
 
 class TestInvariants:
     def test_partition_totality_and_monotone_templates(self):
@@ -180,16 +192,19 @@ class TestInvariants:
         lines, _ = synth.make_stream(rng, templates, 1000)
         dag = ParseDag()
         prev_events = {}
+        records = []
         for i, line in enumerate(lines, start=1):
-            dag.parse_line(i, line.split())
+            records.append(dag.parse_line(i, line.split()))
             for gid, g in dag.groups.items():
                 if gid in prev_events:
                     for old, new in zip(prev_events[gid], g.event):
                         if old is WILDCARD:
                             assert new is WILDCARD  # wildcard never reverts
                 prev_events[gid] = list(g.event)
-        seen = sorted(m for _, _, members in dag.snapshot_groups() for m in members)
-        assert seen == list(range(1, 1001))
+        assert [r.line_id for r in records] == list(range(1, 1001))
+        assert dict(Counter(r.output_id for r in records)) == {
+            oid: occ for oid, _, occ in dag.snapshot_groups()
+        }
 
     def test_groups_share_length_within_node(self):
         rng = random.Random(5)

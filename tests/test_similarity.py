@@ -69,8 +69,11 @@ class TestThreshold:
         assert state.st_init == pytest.approx(1 / 3, abs=APPROX)
         assert state.base == 2
         assert state.eta == 0
-        assert state.dig_len == 1
-        assert state.seq_len == 3
+        # st_init and base encode the digit count (here 1) and the length (3):
+        # a second digit-bearing token moves both.
+        state = new_threshold_state(["Send", "file_1", "file_01"])
+        assert state.st_init == pytest.approx(1 / 6, abs=APPROX)
+        assert state.base == 3
 
     def test_init_no_digits(self):
         state = new_threshold_state(["a", "b", "c"])
@@ -83,21 +86,21 @@ class TestThreshold:
         assert state.base == 5
 
     def test_current_st_at_zero_eta(self):
-        state = ThresholdState(st_init=1 / 3, base=2, eta=0, dig_len=1, seq_len=3)
+        state = ThresholdState(st_init=1 / 3, base=2, eta=0)
         assert current_st(state) == pytest.approx(1 / 3, abs=APPROX)
 
     def test_current_st_grows_with_eta(self):
-        state = ThresholdState(st_init=1 / 3, base=2, eta=1, dig_len=1, seq_len=3)
+        state = ThresholdState(st_init=1 / 3, base=2, eta=1)
         assert current_st(state) == pytest.approx(5 / 6, abs=APPROX)
 
     def test_current_st_caps_at_one(self):
-        state = ThresholdState(st_init=0.5, base=2, eta=7, dig_len=0, seq_len=4)
+        state = ThresholdState(st_init=0.5, base=2, eta=7)
         assert current_st(state) == pytest.approx(1.0, abs=APPROX)
 
     @given(st.floats(0, 0.5), st.integers(2, 10), st.integers(0, 50))
     def test_monotone_in_eta_and_capped(self, st_init, base, eta):
-        lo = ThresholdState(st_init=st_init, base=base, eta=eta, dig_len=base - 1, seq_len=10)
-        hi = ThresholdState(st_init=st_init, base=base, eta=eta + 1, dig_len=base - 1, seq_len=10)
+        lo = ThresholdState(st_init=st_init, base=base, eta=eta)
+        hi = ThresholdState(st_init=st_init, base=base, eta=eta + 1)
         assert current_st(lo) <= current_st(hi) + APPROX
         assert current_st(hi) <= 1.0
 
