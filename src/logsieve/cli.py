@@ -87,9 +87,13 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read a YAML configuration file into a RunConfig."""
+    """Read a YAML configuration file into a RunConfig. A value of the wrong
+    type, or a file that is not YAML, raises ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     known = {
@@ -102,17 +106,30 @@ def load_config(path) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+
+    def check(key, ok, expected):
+        if key in raw and not ok(raw[key]):
+            raise ConfigError(f"{path}: {key} must be {expected}, not {raw[key]!r}")
+
+    check("preprocess_rules", lambda v: v is None or isinstance(v, list), "a list")
+    check("special_chars", lambda v: v is None or isinstance(v, str), "a string")
+    check("merge_enabled", lambda v: v is None or isinstance(v, bool), "true or false")
+    check("merge_threshold", lambda v: v is None or type(v) in (int, float), "a number")
+    check("line_format", lambda v: v is None or isinstance(v, list)
+          and all(isinstance(name, str) for name in v), "a list of field names")
     rules = []
     for entry in raw.get("preprocess_rules") or []:
-        if not isinstance(entry, dict) or "pattern" not in entry or "replacement" not in entry:
-            raise ConfigError(f"{path}: each preprocess rule needs pattern and replacement")
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(k), str) for k in ("pattern", "replacement")
+        ):
+            raise ConfigError(f"{path}: each preprocess rule needs a pattern and a replacement string")
         rules.append(PreprocessRule(entry["pattern"], entry["replacement"]))
     special = raw.get("special_chars")
     fmt = raw.get("line_format") or ["Content"]
     return RunConfig(
         preprocess_rules=rules,
         special_chars=frozenset(special) if special is not None else DEFAULT_SPECIAL_CHARS,
-        merge_enabled=bool(raw.get("merge_enabled", False)),
+        merge_enabled=bool(raw.get("merge_enabled")),
         merge_threshold=raw.get("merge_threshold"),
         line_format=LineFormat(list(fmt)),
     )
@@ -125,6 +142,8 @@ class RunStats:
     templates_final: int = 0
     wall_time: float = 0.0
     cache_hits: int = 0
+    groups_created: int = 0
+    groups_merged: int = 0
 
 
 def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -> tuple[RunStats, ParseDag]:
@@ -148,6 +167,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     stats = RunStats()
     start = time.perf_counter()
     cache_hits_before = dag.cache_hits
+    groups_before, merged_before = len(dag.groups), len(dag.groups) - len(dag.outputs)
     rules = config.preprocess_rules
     fmt = config.line_format
     with open(out_dir / STRUCTURED_CSV, "w", newline="", encoding="utf-8") as fh:
@@ -170,6 +190,9 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             writer.writerow([record.line_id, record.output_id, record.template_text])
     stats.lines_parsed = line_id - first_id
     stats.cache_hits = dag.cache_hits - cache_hits_before
+    # Each merge folds a new group into an existing output node.
+    stats.groups_created = len(dag.groups) - groups_before
+    stats.groups_merged = len(dag.groups) - len(dag.outputs) - merged_before
     snapshot = dag.snapshot_groups()
     stats.templates_final = len(snapshot)
     with open(out_dir / CATALOG_CSV, "w", newline="", encoding="utf-8") as fh:

@@ -76,6 +76,8 @@ class ParseDag:
     ):
         if merge_enabled and merge_threshold is None:
             raise ValueError("merge_threshold required when merging is enabled")
+        if merge_enabled and not 0.0 < merge_threshold <= 1.0:
+            raise ValueError("merge_threshold must be in (0, 1]")
         self.merge_enabled = merge_enabled
         self.merge_threshold = merge_threshold
         self.special_chars = special_chars
@@ -83,6 +85,11 @@ class ParseDag:
         self.length_nodes: dict[int, LengthNode] = {}
         self.groups: dict[int, LogGroup] = {}
         self.outputs: dict[int, OutputNode] = {}
+        # Merge candidates: literal token -> {output ID: count}, filled only
+        # when merging is on. A node's counts are those of its template when
+        # it was indexed; they stay upper bounds, because a template's
+        # literals only shrink (wildcarding, or an LCS of itself on merge).
+        self.merge_index: dict[str, dict[int, int]] = {}
         self.cache_hits = 0
 
     # -- rendering -------------------------------------------------------
@@ -172,21 +179,32 @@ class ParseDag:
 
     def _try_merge(self, new_group: LogGroup) -> int | None:
         """Fuse the fresh group into the most similar existing output node if
-        template similarity strictly exceeds the merge threshold. The merged
-        node's template becomes the LCS of the two templates."""
+        template similarity strictly exceeds the merge threshold; ties go to
+        the lowest output ID. The merged node's template becomes the LCS of
+        the two templates.
+
+        Only nodes sharing a literal with the new event are visited. The LCS
+        is at most the shared literal count, so a node whose shared count
+        over the shorter length does not exceed the threshold, or the best
+        score so far, cannot win and is not scored."""
+        event = new_group.event
+        counts = _literal_counts(event)
+        shared: dict[int, int] = {}
+        for token, n in counts.items():
+            for output_id, m in self.merge_index.get(token, {}).items():
+                shared[output_id] = shared.get(output_id, 0) + min(n, m)
         best_id = None
-        best_score = -1.0
-        for output_id in sorted(self.outputs):
-            if output_id == new_group.output_id:
-                continue
+        best_score = self.merge_threshold
+        for output_id in sorted(shared):
             template = self.output_template(output_id)
-            if not template:
+            if shared[output_id] / min(len(event), len(template)) <= best_score:
                 continue
-            score = tem_sim(new_group.event, template)
+            score = tem_sim(event, template)
             if score > best_score:
                 best_score = score
                 best_id = output_id
-        if best_id is None or best_score <= self.merge_threshold:
+        if best_id is None:
+            self._index_output(new_group.output_id, counts)
             return None
         target = self.outputs[best_id]
         target.merged_template = lcs(self.output_template(best_id), new_group.event)
@@ -194,6 +212,10 @@ class ParseDag:
         del self.outputs[new_group.output_id]
         new_group.output_id = best_id
         return best_id
+
+    def _index_output(self, output_id: int, counts: dict[str, int]) -> None:
+        for token, n in counts.items():
+            self.merge_index.setdefault(token, {})[output_id] = n
 
     def update_group(self, group: LogGroup, tokens: list[str]) -> int:
         """Absorb a matched message: count it, wildcard every literal position
@@ -270,7 +292,8 @@ class ParseDag:
     @classmethod
     def from_json(cls, text: str, cache_enabled: bool = True) -> "ParseDag":
         """Rebuild a parser from ``to_json`` output. The length/split index and
-        the output nodes' group lists are derived from the groups, in ID order.
+        the output nodes' group lists are derived from the groups, in ID order,
+        and the merge index from the output nodes' templates.
         Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
         dag = cls(state["merge_enabled"], state["merge_threshold"],
@@ -287,7 +310,18 @@ class ParseDag:
             dag.outputs[int(oid)].merged_template = template
         for length, gid in state["cache"].items():
             dag.length_nodes[int(length)].cache = gid
+        if dag.merge_enabled:
+            for oid in dag.outputs:
+                dag._index_output(oid, _literal_counts(dag.output_template(oid)))
         return dag
+
+
+def _literal_counts(template: list[Token]) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for token in template:
+        if token is not None:
+            counts[token] = counts.get(token, 0) + 1
+    return counts
 
 
 # -- state validation ----------------------------------------------------

@@ -104,7 +104,29 @@ def lcs(a: list, b: list) -> list:
     return out
 
 
+def lcs_len(a: list, b: list) -> int:
+    """Length of the longest common subsequence, by the same ``==`` as ``lcs``.
+
+    Bit-parallel (Allison & Dix 1986; Hyyro 2004): ``v`` holds one bit per
+    element of ``a``, and its zero bits count the LCS of ``a`` with the prefix
+    of ``b`` read so far, so each element of ``b`` costs a few integer
+    operations instead of a pass over ``a``.
+    """
+    masks: dict = {}
+    bit = 1
+    for token in a:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    for token in b:
+        match = masks.get(token)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
+
+
 def tem_sim(new_event: list[Token], exist_event: list[Token]) -> float:
     """Similarity of two templates: LCS length over the shorter length."""
-    common = lcs(new_event, exist_event)
-    return len(common) / min(len(new_event), len(exist_event))
+    return lcs_len(new_event, exist_event) / min(len(new_event), len(exist_event))

@@ -86,6 +86,7 @@ class TestRunStream:
         stats, dag = run_stream(RunConfig(), lines, tmp_path)
         assert stats.lines_parsed == 3
         assert stats.templates_final == 2
+        assert (stats.groups_created, stats.groups_merged) == (2, 0)
         with open(tmp_path / "structured.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["LineId", "OutputId", "EventTemplate"]
@@ -113,6 +114,14 @@ class TestRunStream:
         stats, dag = run_stream(config, ["got blk_1 ok", "got blk_2 ok"], tmp_path)
         assert stats.templates_final == 1
         assert dag.snapshot_groups()[0][1] == "got blkID ok"
+
+    def test_group_counters_count_this_run(self, tmp_path):
+        config = RunConfig(merge_enabled=True, merge_threshold=0.45)
+        _, dag = run_stream(config, ["Send file", "Send a file"], tmp_path / "a")
+        stats, _ = run_stream(config, ["Send a big file", "Open port"], tmp_path / "b", dag=dag)
+        assert (stats.groups_created, stats.groups_merged) == (2, 1)
+        written = json.loads((tmp_path / "b" / "stats.json").read_text())
+        assert (written["groups_created"], written["groups_merged"]) == (2, 1)
 
     def test_byte_identical_reruns(self, tmp_path):
         lines = [f"evt{i % 5} doing work item{i}" for i in range(200)]
@@ -206,6 +215,27 @@ class TestMainCli:
         code = main(["parse", "--config", str(cfg), "--input", "-"])
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        "merge_enabled: true\nmerge_threshold: '0.9'\n",
+        "special_chars: 5\n",
+        "preprocess_rules: 3\n",
+        "preprocess_rules:\n  - pattern: 5\n    replacement: x\n",
+        "merge_enabled: [\n",
+        "merge_enabled: 'false'\nmerge_threshold: 0.9\n",
+        "line_format: Content\n",
+    ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
+            "yaml-syntax", "enabled-string", "line-format-string"])
+    def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        inp = tmp_path / "in.log"
+        inp.write_text("Send file file_01\n")
+        code = main(["parse", "--config", str(cfg), "--input", str(inp),
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_bad_sizes_is_usage_error(self, tmp_path):
         code = main(["bench", "--sizes", "12,potato", "--output-dir", str(tmp_path)])
         assert code == 1
@@ -296,10 +326,13 @@ _LINE = st.tuples(st.sampled_from(_HEADS), st.lists(st.sampled_from(_WORDS), max
 
 class TestResume:
     @settings(max_examples=200, deadline=None)
-    @given(lines=st.lists(_LINE, max_size=30), merge=st.booleans(), data=st.data())
-    def test_save_load_continue_equals_one_pass(self, lines, merge, data):
+    @given(lines=st.lists(_LINE, max_size=30),
+           threshold=st.sampled_from([None, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0]), data=st.data())
+    def test_save_load_continue_equals_one_pass(self, lines, threshold, data):
+        # None turns merging off; the thresholds merge often to rarely, so a
+        # resumed run scores against both saved and new merge candidates.
         split = data.draw(st.integers(0, len(lines)))
-        config = RunConfig(merge_enabled=merge, merge_threshold=0.6 if merge else None)
+        config = RunConfig(merge_enabled=threshold is not None, merge_threshold=threshold)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             _, head = run_stream(config, lines[:split], out / "head")

@@ -2,9 +2,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import logsieve.dag
 from logsieve.dag import ParseDag, render_template
-from logsieve.similarity import WILDCARD
+from logsieve.similarity import WILDCARD, lcs
 from logsieve import synth
 
 
@@ -113,6 +115,36 @@ class TestCache:
         assert a == b
 
 
+def brute_force_merge_target(dag, group):
+    """The unindexed merge scan: every other non-empty output node, scored by
+    DP LCS length over the shorter length, in ascending ID order, the first
+    best kept; accepted only strictly above the threshold."""
+    best_id, best_score = None, -1.0
+    for output_id in sorted(dag.outputs):
+        template = dag.output_template(output_id)
+        if output_id == group.output_id or not template:
+            continue
+        score = len(lcs(group.event, template)) / min(len(group.event), len(template))
+        if score > best_score:
+            best_id, best_score = output_id, score
+    return best_id if best_id is not None and best_score > dag.merge_threshold else None
+
+
+class OracleCheckedDag(ParseDag):
+    """A ParseDag that checks every merge decision against the brute-force scan."""
+
+    def _try_merge(self, new_group):
+        expected = brute_force_merge_target(self, new_group)
+        got = super()._try_merge(new_group)
+        assert got == expected
+        return got
+
+
+# Tiny vocabulary: repeated tokens, shared split keys (so groups gain
+# wildcards) and digit-bearing tokens.
+_MESSAGE = st.lists(st.sampled_from(["a", "b", "c", "a1", "2"]), max_size=6)
+
+
 class TestMerge:
     def test_merge_similar_templates(self):
         dag = ParseDag(merge_enabled=True, merge_threshold=0.45)
@@ -140,6 +172,31 @@ class TestMerge:
     def test_merge_requires_threshold(self):
         with pytest.raises(ValueError):
             ParseDag(merge_enabled=True)
+        for outside in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                ParseDag(merge_enabled=True, merge_threshold=outside)
+
+    @settings(max_examples=300, deadline=None)
+    @given(messages=st.lists(_MESSAGE, max_size=40),
+           threshold=st.floats(0, 1, exclude_min=True), data=st.data())
+    def test_indexed_scan_picks_brute_force_target(self, messages, threshold, data):
+        # A save and load at a random point checks the rebuilt index too.
+        split = data.draw(st.integers(0, len(messages)))
+        dag = OracleCheckedDag(merge_enabled=True, merge_threshold=threshold)
+        parse_all(dag, [" ".join(m) for m in messages[:split]])
+        dag = OracleCheckedDag.from_json(dag.to_json())
+        parse_all(dag, [" ".join(m) for m in messages[split:]])
+
+    def test_group_sharing_no_token_is_never_scored(self, monkeypatch):
+        calls = []
+        real = logsieve.dag.tem_sim
+        monkeypatch.setattr(logsieve.dag, "tem_sim", lambda a, b: calls.append(b) or real(a, b))
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
+        dag.parse_line(1, ["Send", "file", "now"])
+        dag.parse_line(2, ["open", "port", "later"])
+        assert calls == [] and len(dag.outputs) == 2
+        rec = dag.parse_line(3, ["Send", "file", "x", "y"])
+        assert calls == [["Send", "file", "now"]] and rec.output_id == 1
 
 
 class TestSnapshotAndState:

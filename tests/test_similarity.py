@@ -9,6 +9,7 @@ from logsieve.similarity import (
     current_st,
     equ,
     lcs,
+    lcs_len,
     new_threshold_state,
     sim_seq,
     tem_sim,
@@ -147,6 +148,24 @@ class TestLcs:
         assert len(lcs(a, b)) == len(lcs(b, a))
         assert len(lcs(a, b)) <= min(len(a), len(b))
         assert lcs(a, a) == a
+
+
+class TestLcsLen:
+    # Tiny alphabet with the wildcard: repeats are common and None == None.
+    seqs = st.lists(st.sampled_from(["a", "b", WILDCARD]), max_size=9)
+
+    @given(seqs, seqs)
+    def test_equals_dp_and_brute_force(self, a, b):
+        assert lcs_len(a, b) == len(lcs(a, b)) == brute_force_lcs_len(a, b)
+
+    def test_worked_example(self):
+        assert lcs_len([1, 2, 3, 4], [2, 4, 5]) == 2
+        assert lcs_len([WILDCARD, "a"], [WILDCARD, "a"]) == 2
+        assert lcs_len([], ["a"]) == lcs_len(["a"], []) == 0
+
+    def test_longer_than_a_machine_word(self):
+        a = ["x", "y"] * 50
+        assert lcs_len(a, a[1:] + ["z"]) == 99
 
 
 class TestTemSim:
