@@ -79,11 +79,12 @@ class RunConfig:
     cache_enabled: bool = True
 
     def __post_init__(self):
-        if self.merge_enabled:
-            if self.merge_threshold is None:
-                raise ConfigError("merge_threshold is required when merge_enabled is true")
-            if not 0.0 < self.merge_threshold <= 1.0:
-                raise ConfigError("merge_threshold must be in (0, 1]")
+        # Checked even with merging off: a resumed run must match the saved
+        # threshold exactly, which a NaN never does.
+        if self.merge_enabled and self.merge_threshold is None:
+            raise ConfigError("merge_threshold is required when merge_enabled is true")
+        if self.merge_threshold is not None and not 0.0 < self.merge_threshold <= 1.0:
+            raise ConfigError("merge_threshold must be in (0, 1]")
 
 
 def load_config(path) -> RunConfig:
@@ -144,6 +145,8 @@ class RunStats:
     cache_hits: int = 0
     groups_created: int = 0
     groups_merged: int = 0
+    wildcards_added: int = 0
+    groups_at_threshold_cap: int = 0
 
 
 def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -> tuple[RunStats, ParseDag]:
@@ -168,6 +171,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     start = time.perf_counter()
     cache_hits_before = dag.cache_hits
     groups_before, merged_before = len(dag.groups), len(dag.groups) - len(dag.outputs)
+    wildcards_before = _wildcards(dag)
     rules = config.preprocess_rules
     fmt = config.line_format
     with open(out_dir / STRUCTURED_CSV, "w", newline="", encoding="utf-8") as fh:
@@ -193,6 +197,8 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     # Each merge folds a new group into an existing output node.
     stats.groups_created = len(dag.groups) - groups_before
     stats.groups_merged = len(dag.groups) - len(dag.outputs) - merged_before
+    stats.wildcards_added = _wildcards(dag) - wildcards_before
+    stats.groups_at_threshold_cap = sum(g.st >= 1.0 for g in dag.groups.values())
     snapshot = dag.snapshot_groups()
     stats.templates_final = len(snapshot)
     with open(out_dir / CATALOG_CSV, "w", newline="", encoding="utf-8") as fh:
@@ -202,6 +208,11 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     stats.wall_time = time.perf_counter() - start
     (out_dir / STATS_FILE).write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
     return stats, dag
+
+
+def _wildcards(dag: ParseDag) -> int:
+    """Wildcards the groups have gained since they were created."""
+    return sum(g.threshold.eta for g in dag.groups.values() if g.threshold is not None)
 
 
 def run_eval(config: RunConfig, lines, out_dir, truth_path, dataset: str = "dataset"):

@@ -39,6 +39,13 @@ class LogGroup:
     count: int  # messages absorbed so far
     threshold: ThresholdState | None  # None only for the empty-message group
     output_id: int
+    # Derived, never serialized: current_st(threshold), refreshed when the
+    # group gains a wildcard. The empty-message group accepts every empty
+    # message, so its threshold is 0.
+    st: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.st = 0.0 if self.threshold is None else current_st(self.threshold)
 
 
 @dataclass
@@ -47,6 +54,9 @@ class OutputNode:
     group_ids: list[int]
     # Set at merge time; single-group nodes render their group's live event.
     merged_template: list[Token] | None = None
+    # Derived, never serialized: the rendered template, filled on first read
+    # and cleared whenever the template changes.
+    text: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -76,11 +86,11 @@ class ParseDag:
     ):
         if merge_enabled and merge_threshold is None:
             raise ValueError("merge_threshold required when merging is enabled")
-        if merge_enabled and not 0.0 < merge_threshold <= 1.0:
+        if merge_threshold is not None and not 0.0 < merge_threshold <= 1.0:
             raise ValueError("merge_threshold must be in (0, 1]")
         self.merge_enabled = merge_enabled
         self.merge_threshold = merge_threshold
-        self.special_chars = special_chars
+        self.special_chars = frozenset(special_chars)
         self.cache_enabled = cache_enabled
         self.length_nodes: dict[int, LengthNode] = {}
         self.groups: dict[int, LogGroup] = {}
@@ -100,6 +110,13 @@ class ParseDag:
             return node.merged_template
         return self.groups[node.group_ids[0]].event
 
+    def output_text(self, output_id: int) -> str:
+        """The rendered output template, rendered again only after it changed."""
+        node = self.outputs[output_id]
+        if node.text is None:
+            node.text = render_template(self.output_template(output_id))
+        return node.text
+
     # -- search ----------------------------------------------------------
 
     def search(self, tokens: list[str]) -> int | None:
@@ -114,9 +131,7 @@ class ParseDag:
             return None
         if self.cache_enabled and length_node.cache is not None:
             cached = self.groups[length_node.cache]
-            if cached.threshold is not None and sim_seq(tokens, cached.event) >= current_st(
-                cached.threshold
-            ):
+            if cached.threshold is not None and sim_seq(tokens, cached.event) >= cached.st:
                 self.cache_hits += 1
                 return cached.group_id
         if not tokens:
@@ -134,18 +149,18 @@ class ParseDag:
         reaches the candidate's own threshold."""
         best = None
         best_score = -1.0
-        best_wildcards = -1
         for gid in group_ids:
             group = self.groups[gid]
             score = sim_seq(tokens, group.event)
-            wildcards = len(group.event) - sum(1 for t in group.event if t is not None)
-            if score > best_score or (score == best_score and wildcards < best_wildcards):
+            # A score is never below 0, so ``best`` is set before any tie.
+            if score > best_score or (
+                score == best_score and group.event.count(None) < best.event.count(None)
+            ):
                 best = group
                 best_score = score
-                best_wildcards = wildcards
         if best is None:
             return None
-        if best_score >= current_st(best.threshold):
+        if best_score >= best.st:
             return best.group_id
         return None
 
@@ -208,6 +223,7 @@ class ParseDag:
             return None
         target = self.outputs[best_id]
         target.merged_template = lcs(self.output_template(best_id), new_group.event)
+        target.text = None
         target.group_ids.append(new_group.group_id)
         del self.outputs[new_group.output_id]
         new_group.output_id = best_id
@@ -230,6 +246,8 @@ class ParseDag:
                 replaced += 1
         if replaced and group.threshold is not None:
             group.threshold.eta += replaced
+            group.st = current_st(group.threshold)
+            self.outputs[group.output_id].text = None
         return replaced
 
     def parse_line(self, line_id: int, tokens: list[str]) -> StructuredRecord:
@@ -246,7 +264,7 @@ class ParseDag:
             line_id=line_id,
             group_id=group_id,
             output_id=group.output_id,
-            template_text=render_template(self.output_template(group.output_id)),
+            template_text=self.output_text(group.output_id),
         )
 
     # -- reporting -------------------------------------------------------
@@ -257,7 +275,7 @@ class ParseDag:
         return [
             (
                 output_id,
-                render_template(self.output_template(output_id)),
+                self.output_text(output_id),
                 sum(self.groups[gid].count for gid in node.group_ids),
             )
             for output_id, node in sorted(self.outputs.items())

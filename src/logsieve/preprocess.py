@@ -65,12 +65,13 @@ def tokenize(content: str) -> list[str]:
 
 def has_digit(token: str) -> bool:
     """True iff the token contains an ASCII decimal digit."""
-    return any(c in _DIGITS for c in token)
+    return not _DIGITS.isdisjoint(token)
 
 
 def has_special(token: str, special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS) -> bool:
-    """True iff the token contains a character from the special set."""
-    return any(c in special_chars for c in token)
+    """True iff the token contains a character from the special set (a set
+    of characters, not a string)."""
+    return not special_chars.isdisjoint(token)
 
 
 def select_split_token(

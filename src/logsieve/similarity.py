@@ -7,6 +7,7 @@ mutated only by the graph code.
 
 import math
 from dataclasses import dataclass
+from operator import eq
 
 from .preprocess import has_digit
 
@@ -14,11 +15,6 @@ from .preprocess import has_digit
 Token = str | None
 
 WILDCARD: Token = None
-
-
-def literal_count(event: list[Token]) -> int:
-    """Number of non-wildcard tokens in a template."""
-    return sum(1 for t in event if t is not None)
 
 
 def equ(message_token: str, event_token: Token) -> int:
@@ -29,16 +25,18 @@ def equ(message_token: str, event_token: Token) -> int:
 def sim_seq(message: list[str], event: list[Token]) -> float:
     """Similarity between a message and a template of equal length.
 
-    Token-wise matches over the template's literal positions, normalized by
-    the literal count. An all-wildcard template constrains nothing and
-    accepts any message of its length (similarity 1.0).
+    Token-wise matches (``equ``) over the template's literal positions,
+    normalized by the literal count. An all-wildcard template constrains
+    nothing and accepts any message of its length (similarity 1.0).
+
+    Message tokens are strings, so a wildcard (``None``) position never
+    compares equal and plain ``==`` counts exactly what ``equ`` would.
     """
     assert len(message) == len(event), "length layer must guarantee equal lengths"
-    n_c = literal_count(event)
+    n_c = len(event) - event.count(None)
     if n_c == 0:
         return 1.0
-    matched = sum(equ(m, e) for m, e in zip(message, event))
-    return matched / n_c
+    return sum(map(eq, message, event)) / n_c
 
 
 @dataclass

@@ -117,11 +117,19 @@ class TestRunStream:
 
     def test_group_counters_count_this_run(self, tmp_path):
         config = RunConfig(merge_enabled=True, merge_threshold=0.45)
-        _, dag = run_stream(config, ["Send file", "Send a file"], tmp_path / "a")
-        stats, _ = run_stream(config, ["Send a big file", "Open port"], tmp_path / "b", dag=dag)
+        _, dag = run_stream(config, ["Send file", "Send file", "Send a file"], tmp_path / "a")
+        # "Send a big file" merges into output 1 as group 3 and "Send b big
+        # file" wildcards its "a", which caps its threshold (no digits: st_init
+        # 0.5, base 2, so 0.5 + 0.5 log2(2) = 1). "Open port 7" opens group 4
+        # and "Open door 7" wildcards its "port", short of the cap (st_init
+        # 1/3 for one digit token in three: 1/3 + 0.5 = 5/6).
+        lines = ["Send a big file", "Send b big file", "Open port 7", "Open door 7"]
+        stats, dag = run_stream(config, lines, tmp_path / "b", dag=dag)
         assert (stats.groups_created, stats.groups_merged) == (2, 1)
+        assert (stats.wildcards_added, stats.groups_at_threshold_cap) == (2, 1)
         written = json.loads((tmp_path / "b" / "stats.json").read_text())
         assert (written["groups_created"], written["groups_merged"]) == (2, 1)
+        assert (written["wildcards_added"], written["groups_at_threshold_cap"]) == (2, 1)
 
     def test_byte_identical_reruns(self, tmp_path):
         lines = [f"evt{i % 5} doing work item{i}" for i in range(200)]
@@ -223,8 +231,12 @@ class TestMainCli:
         "merge_enabled: [\n",
         "merge_enabled: 'false'\nmerge_threshold: 0.9\n",
         "line_format: Content\n",
+        "merge_threshold: .nan\n",
+        "merge_threshold: 7\n",
+        "merge_enabled: false\nmerge_threshold: 0\n",
     ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
-            "yaml-syntax", "enabled-string", "line-format-string"])
+            "yaml-syntax", "enabled-string", "line-format-string", "threshold-nan-merge-off",
+            "threshold-7-merge-off", "threshold-0-merge-off"])
     def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)

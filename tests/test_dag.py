@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
 from logsieve.dag import ParseDag, render_template
-from logsieve.similarity import WILDCARD, lcs
+from logsieve.similarity import WILDCARD, current_st, lcs
 from logsieve import synth
 
 
@@ -175,6 +175,9 @@ class TestMerge:
         for outside in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 ParseDag(merge_enabled=True, merge_threshold=outside)
+        # Checked with merging off too: a saved NaN could never match on resume.
+        with pytest.raises(ValueError):
+            ParseDag(merge_enabled=False, merge_threshold=float("nan"))
 
     @settings(max_examples=300, deadline=None)
     @given(messages=st.lists(_MESSAGE, max_size=40),
@@ -197,6 +200,40 @@ class TestMerge:
         assert calls == [] and len(dag.outputs) == 2
         rec = dag.parse_line(3, ["Send", "file", "x", "y"])
         assert calls == [["Send", "file", "now"]] and rec.output_id == 1
+
+
+# Shared head words and digit-bearing end tokens: lines share lengths and
+# split keys, groups gain wildcards, and some lines route to the None key.
+_HEADED_MESSAGE = st.one_of(
+    st.just([]),
+    st.tuples(st.sampled_from(["svc", "svc", "job", "n1"]),
+              st.lists(st.sampled_from(["a", "b", "open", "x1", "42"]), max_size=4))
+    .map(lambda parts: [parts[0], *parts[1]]),
+)
+
+
+class TestDerivedState:
+    """The cached threshold and template text always equal what they cache."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(messages=st.lists(_HEADED_MESSAGE, max_size=40),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9, 1.0]),
+           cache=st.booleans(), data=st.data())
+    def test_cached_text_and_threshold_stay_current(self, messages, threshold, cache, data):
+        # None turns merging off; a save and load at a random line rebuilds both.
+        split = data.draw(st.integers(0, len(messages)))
+        dag = ParseDag(merge_enabled=threshold is not None, merge_threshold=threshold,
+                       cache_enabled=cache)
+        for line_id, tokens in enumerate(messages, start=1):
+            if line_id == split + 1:
+                dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
+            record = dag.parse_line(line_id, tokens)
+            assert record.template_text == render_template(dag.output_template(record.output_id))
+            for group in dag.groups.values():
+                if group.threshold is not None:
+                    assert group.st == current_st(group.threshold)
+        for output_id, text, _ in dag.snapshot_groups():
+            assert text == render_template(dag.output_template(output_id))
 
 
 class TestSnapshotAndState:

@@ -63,6 +63,23 @@ class TestSimSeq:
         altered = [m if e is not None else "zzz" for m, e in zip(msg, event)]
         assert sim_seq(altered, event) == score
 
+    # Tiny vocabulary with a literal "*" (never a wildcard's equal): events
+    # with wildcards, all-wildcard events and the empty event all occur.
+    @given(
+        st.lists(st.sampled_from(["a", "b", "*"]), max_size=6).flatmap(
+            lambda msg: st.tuples(
+                st.just(msg),
+                st.lists(st.sampled_from(["a", "*", WILDCARD]),
+                         min_size=len(msg), max_size=len(msg)),
+            )
+        )
+    )
+    def test_equals_equ_oracle(self, pair):
+        msg, event = pair
+        literals = sum(1 for e in event if e is not None)
+        expected = sum(equ(m, e) for m, e in zip(msg, event)) / literals if literals else 1.0
+        assert sim_seq(msg, event) == expected
+
 
 class TestThreshold:
     def test_init_with_one_digit_token(self):
