@@ -117,14 +117,14 @@ class TestRunStream:
 
     def test_group_counters_count_this_run(self, tmp_path):
         config = RunConfig(merge_enabled=True, merge_threshold=0.45)
-        _, dag = run_stream(config, ["Send file", "Send file", "Send a file"], tmp_path / "a")
+        _, dag = run_stream(config, ["Send file", "Send a file"], tmp_path / "a")
         # "Send a big file" merges into output 1 as group 3 and "Send b big
         # file" wildcards its "a", which caps its threshold (no digits: st_init
         # 0.5, base 2, so 0.5 + 0.5 log2(2) = 1). "Open port 7" opens group 4
         # and "Open door 7" wildcards its "port", short of the cap (st_init
         # 1/3 for one digit token in three: 1/3 + 0.5 = 5/6).
         lines = ["Send a big file", "Send b big file", "Open port 7", "Open door 7"]
-        stats, dag = run_stream(config, lines, tmp_path / "b", dag=dag)
+        stats, _ = run_stream(config, lines, tmp_path / "b", dag=dag)
         assert (stats.groups_created, stats.groups_merged) == (2, 1)
         assert (stats.wildcards_added, stats.groups_at_threshold_cap) == (2, 1)
         written = json.loads((tmp_path / "b" / "stats.json").read_text())
