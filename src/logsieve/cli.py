@@ -53,20 +53,19 @@ class LineFormat:
             raise ConfigError("line_format must name at least the content field")
 
 
-def extract_content(fmt: LineFormat, raw_line: str) -> tuple[dict, str]:
-    """Bind the leading whitespace-delimited fields to the header names and
-    return the rest of the line (internal spacing preserved) as content.
+def extract_content(fmt: LineFormat, raw_line: str) -> str:
+    """Skip the leading whitespace-delimited header fields and return the
+    rest of the line (internal spacing preserved) as content.
 
     Raises ValueError when the line has fewer fields than the format needs.
     """
     n_header = len(fmt.field_names) - 1
     if n_header == 0:
-        return {}, raw_line
+        return raw_line
     parts = raw_line.split(None, n_header)
-    if len(parts) < n_header + 1:
+    if len(parts) <= n_header:
         raise ValueError(f"line has fewer than {n_header + 1} fields")
-    header = dict(zip(fmt.field_names[:-1], parts[:n_header]))
-    return header, parts[n_header]
+    return parts[n_header]
 
 
 @dataclass
@@ -183,7 +182,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             if not raw:
                 continue
             try:
-                _, content = extract_content(fmt, raw)
+                content = extract_content(fmt, raw)
             except ValueError:
                 stats.malformed_skipped += 1
                 continue

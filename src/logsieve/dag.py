@@ -119,8 +119,8 @@ class ParseDag:
 
     # -- search ----------------------------------------------------------
 
-    def search(self, tokens: list[str]) -> int | None:
-        """Find the group accepting this message, or None.
+    def search(self, tokens: list[str]) -> tuple[int, float] | None:
+        """Find the group accepting this message and its score, or None.
 
         The cached group of the message's length node is tried first with the
         same acceptance test the full search applies; on a miss the full
@@ -131,22 +131,24 @@ class ParseDag:
             return None
         if self.cache_enabled and length_node.cache is not None:
             cached = self.groups[length_node.cache]
-            if cached.threshold is not None and sim_seq(tokens, cached.event) >= cached.st:
-                self.cache_hits += 1
-                return cached.group_id
+            if cached.threshold is not None:
+                score = sim_seq(tokens, cached.event)
+                if score >= cached.st:
+                    self.cache_hits += 1
+                    return cached.group_id, score
         if not tokens:
             ids = length_node.split_nodes.get(None)
-            return ids[0] if ids else None
+            return (ids[0], 1.0) if ids else None  # an empty event scores 1.0
         key = select_split_token(tokens, self.special_chars)
         group_ids = length_node.split_nodes.get(key)
         if group_ids is None:
             return None
         return self._match_group(group_ids, tokens)
 
-    def _match_group(self, group_ids: list[int], tokens: list[str]) -> int | None:
-        """Best candidate by similarity; ties go to the template with the
-        fewest wildcards, then earliest creation. Accepted only if the score
-        reaches the candidate's own threshold."""
+    def _match_group(self, group_ids: list[int], tokens: list[str]) -> tuple[int, float] | None:
+        """Best candidate by similarity, and its score; ties go to the template
+        with the fewest wildcards, then earliest creation. Accepted only if the
+        score reaches the candidate's own threshold."""
         best = None
         best_score = -1.0
         for gid in group_ids:
@@ -161,7 +163,7 @@ class ParseDag:
         if best is None:
             return None
         if best_score >= best.st:
-            return best.group_id
+            return best.group_id, best_score
         return None
 
     # -- update ----------------------------------------------------------
@@ -233,11 +235,14 @@ class ParseDag:
         for token, n in counts.items():
             self.merge_index.setdefault(token, {})[output_id] = n
 
-    def update_group(self, group: LogGroup, tokens: list[str]) -> int:
-        """Absorb a matched message: count it, wildcard every literal position
-        that disagrees, and advance the threshold counter. Returns the number
-        of wildcards added."""
+    def update_group(self, group: LogGroup, tokens: list[str], score: float) -> int:
+        """Absorb a matched message that scored ``score`` against the group:
+        count it, wildcard every literal position that disagrees, and advance
+        the threshold counter. Returns the number of wildcards added."""
         group.count += 1
+        # sim_seq is 1.0 only when every literal position agreed.
+        if score == 1.0:
+            return 0
         replaced = 0
         event = group.event
         for i, token in enumerate(tokens):
@@ -252,13 +257,14 @@ class ParseDag:
 
     def parse_line(self, line_id: int, tokens: list[str]) -> StructuredRecord:
         """Match or create a group for one preprocessed, tokenized message."""
-        group_id = self.search(tokens)
-        if group_id is None:
+        found = self.search(tokens)
+        if found is None:
             group_id = self.create_group(tokens)
             group = self.groups[group_id]
         else:
+            group_id, score = found
             group = self.groups[group_id]
-            self.update_group(group, tokens)
+            self.update_group(group, tokens, score)
         self.length_nodes[len(tokens)].cache = group_id
         return StructuredRecord(
             line_id=line_id,

@@ -15,6 +15,10 @@ DEFAULT_SPECIAL_CHARS = frozenset("#^$'*+,/<=>@_`)|~")
 
 _DIGITS = frozenset("0123456789")
 
+# The parser ``re`` itself uses (``sre_parse`` before 3.11, where importing it
+# by that name is deprecated); ``re`` has already imported it.
+_sre = getattr(re, "_parser", None) or re.sre_parse
+
 # Split-key variants for the token layer.
 FIRST = "first"
 LAST = "last"
@@ -32,12 +36,16 @@ class PreprocessRule:
     """One substitution rule: regex pattern -> constant replacement.
 
     The replacement must not contain whitespace so a substitution cannot
-    silently change token boundaries inside the replaced span.
+    silently change token boundaries inside the replaced span, nor a
+    backslash, which ``re`` would read as an escape or a group reference.
     """
 
     pattern: str
     replacement: str
     regex: re.Pattern = field(init=False, repr=False, compare=False)
+    # Derived: a literal every match contains ("" when none is known), so
+    # content without it is left alone without running the regex.
+    required: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -48,13 +56,50 @@ class PreprocessRule:
             raise ConfigError(
                 f"preprocess replacement {self.replacement!r} must not contain whitespace"
             )
+        if "\\" in self.replacement:
+            raise ConfigError(
+                f"preprocess replacement {self.replacement!r} must not contain a backslash"
+            )
         object.__setattr__(self, "regex", compiled)
+        object.__setattr__(self, "required", _required_literal(compiled))
+
+
+def _required_literal(regex: re.Pattern) -> str:
+    """The longest run of plain literals that every match of ``regex`` must
+    contain, or "" when none is known.
+
+    Walks the parse tree: literal runs continue through groups, and a repeat
+    of at least one iteration contributes the runs of its body. A branch, a
+    lookaround, an optional repeat, a case-insensitive pattern or group, and
+    anything else end the run and add nothing.
+    """
+    if regex.flags & re.IGNORECASE:
+        return ""
+    runs = [""]
+
+    def walk(items):
+        for op, arg in items:
+            if op is _sre.LITERAL:
+                runs[-1] += chr(arg)
+            elif op is _sre.SUBPATTERN and not arg[1] & re.IGNORECASE:
+                walk(arg[-1])
+            elif op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT) and arg[0] >= 1:
+                runs.append("")
+                walk(arg[2])
+                runs.append("")
+            else:
+                runs.append("")
+
+    walk(_sre.parse(regex.pattern, regex.flags))
+    return max(runs, key=len)
 
 
 def apply_preprocess(rules: list[PreprocessRule], content: str) -> str:
-    """Apply each rule's non-overlapping substitutions, in declaration order."""
+    """Apply each rule's non-overlapping substitutions, in declaration order.
+    A rule whose required literal is absent cannot match and is not run."""
     for rule in rules:
-        content = rule.regex.sub(rule.replacement, content)
+        if rule.required in content:
+            content = rule.regex.sub(rule.replacement, content)
     return content
 
 

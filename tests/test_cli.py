@@ -30,16 +30,13 @@ HDFS_LINE = (
 class TestExtractContent:
     def test_hdfs_style_line(self):
         fmt = LineFormat(["Date", "Time", "Pid", "Level", "Component", "Content"])
-        header, content = extract_content(fmt, HDFS_LINE)
-        assert header["Date"] == "081109"
-        assert header["Component"] == "dfs.DataNode$PacketResponder:"
+        content = extract_content(fmt, HDFS_LINE)
         assert content == (
             "Received block blk_3587508140051953248 of size 67108864 from /10.251.42.84"
         )
 
     def test_content_only(self):
-        header, content = extract_content(LineFormat(["Content"]), "hello world")
-        assert header == {}
+        content = extract_content(LineFormat(["Content"]), "hello world")
         assert content == "hello world"
 
     def test_too_few_fields(self):
@@ -47,7 +44,7 @@ class TestExtractContent:
             extract_content(LineFormat(["A", "B", "Content"]), "x y")
 
     def test_content_spacing_preserved(self):
-        _, content = extract_content(LineFormat(["A", "Content"]), "x a  b   c")
+        content = extract_content(LineFormat(["A", "Content"]), "x a  b   c")
         assert content == "a  b   c"
 
 
@@ -234,9 +231,10 @@ class TestMainCli:
         "merge_threshold: .nan\n",
         "merge_threshold: 7\n",
         "merge_enabled: false\nmerge_threshold: 0\n",
+        "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: 'F\\d'\n",
     ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
             "yaml-syntax", "enabled-string", "line-format-string", "threshold-nan-merge-off",
-            "threshold-7-merge-off", "threshold-0-merge-off"])
+            "threshold-7-merge-off", "threshold-0-merge-off", "replacement-backslash"])
     def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
 from logsieve.dag import ParseDag, render_template
-from logsieve.similarity import WILDCARD, current_st, lcs
+from logsieve.similarity import WILDCARD, current_st, lcs, sim_seq
 from logsieve import synth
 
 
@@ -213,7 +213,8 @@ _HEADED_MESSAGE = st.one_of(
 
 
 class TestDerivedState:
-    """The cached threshold and template text always equal what they cache."""
+    """The cached threshold and template text always equal what they cache,
+    and a matched group's literals all agree with the message."""
 
     @settings(max_examples=300, deadline=None)
     @given(messages=st.lists(_HEADED_MESSAGE, max_size=40),
@@ -229,6 +230,8 @@ class TestDerivedState:
                 dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
             record = dag.parse_line(line_id, tokens)
             assert record.template_text == render_template(dag.output_template(record.output_id))
+            # Every literal of the matched group now agrees with the message.
+            assert sim_seq(tokens, dag.groups[record.group_id].event) == 1.0
             for group in dag.groups.values():
                 if group.threshold is not None:
                     assert group.st == current_st(group.threshold)

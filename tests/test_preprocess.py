@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logsieve.preprocess import (
     ConfigError,
@@ -38,6 +38,78 @@ class TestApplyPreprocess:
     def test_whitespace_replacement_rejected(self):
         with pytest.raises(ConfigError):
             PreprocessRule("a+", "two words")
+
+    @pytest.mark.parametrize("replacement", [r"\d", r"\1", r"\g<0>"])
+    def test_backslash_replacement_rejected(self, replacement):
+        # re would read it as an escape or a group reference, not a constant.
+        with pytest.raises(ConfigError):
+            PreprocessRule(r"blk_[0-9]+", replacement)
+
+
+_ATOMS = ["a", "b", "A", "1", r"\.", "[ab]", r"\d", "."]
+_BOUNDED = ["", "", "?", "{0,2}", "{1,3}", "{3}"]
+
+
+@st.composite
+def _regex(draw, depth=2, in_repeat=False):
+    """A sequence of quantified atoms, groups, case-insensitive groups and
+    lookarounds, or an alternation of two. Only an atom outside every repeat
+    may repeat without bound, which keeps backtracking on short strings
+    bounded."""
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        parts = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["atom", "group", "icase", "icase", "ahead", "behind"]
+                                        if depth else ["atom"]))
+            if kind == "atom":
+                unbounded = [] if in_repeat else ["*", "+"]
+                parts.append(draw(st.sampled_from(_ATOMS))
+                             + draw(st.sampled_from(_BOUNDED + unbounded)))
+            elif kind == "behind":  # fixed width, as re requires
+                literal = draw(st.sampled_from(["a", "A", r"\.", "b1"]))
+                parts.append(draw(st.sampled_from(["(?<={})", "(?<!{})"])).format(literal))
+            elif kind == "ahead":
+                inner = draw(_regex(depth - 1, in_repeat))
+                parts.append(draw(st.sampled_from(["(?={})", "(?!{})"])).format(inner))
+            else:
+                quant = draw(st.sampled_from(_BOUNDED))
+                inner = draw(_regex(depth - 1, in_repeat or quant != ""))
+                parts.append(("({})" if kind == "group" else "(?i:{})").format(inner) + quant)
+        branches.append("".join(parts))
+    return "|".join(branches)
+
+
+_PATTERN = st.tuples(st.sampled_from(["", "(?i)"]), _regex()).map("".join)
+
+
+class TestRequiredLiteral:
+    @pytest.mark.parametrize("pattern,required", [
+        (r"blk_[0-9]+", "blk_"),
+        (r"(\d+\.){3}\d+", "."),
+        (r"/?\d+\.\d+\.\d+\.\d+", "."),
+        (r"(?i)blk_\d+", ""),
+        ("a|b", ""),
+        (r"a(b)c", "abc"),
+        (r"(abc)?d", "d"),
+        (r"(?i:abc)d", "d"),
+        (r"(?=abc)d", "d"),
+    ])
+    def test_required_literal(self, pattern, required):
+        assert PreprocessRule(pattern, "X").required == required
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(_PATTERN, st.sampled_from(["", "R", "a."])),
+                    min_size=1, max_size=3),
+           st.text(alphabet="aAbB1.x", max_size=10))
+    def test_skipping_rules_changes_nothing(self, specs, content):
+        rules = [PreprocessRule(pattern, replacement) for pattern, replacement in specs]
+        for text in (content, content.swapcase()):  # reaches case-insensitive matches
+            expected = text
+            for rule in rules:
+                assert all(rule.required in m.group() for m in rule.regex.finditer(expected))
+                expected = rule.regex.sub(rule.replacement, expected)
+            assert apply_preprocess(rules, text) == expected
 
 
 class TestTokenize:
