@@ -230,7 +230,6 @@ class TestDerivedState:
                 dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
             record = dag.parse_line(line_id, tokens)
             assert record.template_text == render_template(dag.output_template(record.output_id))
-            # Every literal of the matched group now agrees with the message.
             assert sim_seq(tokens, dag.groups[record.group_id].event) == 1.0
             for group in dag.groups.values():
                 if group.threshold is not None:
