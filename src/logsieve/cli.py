@@ -105,7 +105,7 @@ def load_config(path) -> RunConfig:
     }
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
 
     def check(key, ok, expected):
         if key in raw and not ok(raw[key]):
@@ -123,15 +123,18 @@ def load_config(path) -> RunConfig:
             isinstance(entry.get(k), str) for k in ("pattern", "replacement")
         ):
             raise ConfigError(f"{path}: each preprocess rule needs a pattern and a replacement string")
+        unknown = set(entry) - {"pattern", "replacement"}
+        if unknown:
+            raise ConfigError(f"{path}: unknown preprocess rule keys {sorted(unknown, key=str)}")
         rules.append(PreprocessRule(entry["pattern"], entry["replacement"]))
     special = raw.get("special_chars")
-    fmt = raw.get("line_format") or ["Content"]
+    fmt = raw.get("line_format")
     return RunConfig(
         preprocess_rules=rules,
         special_chars=frozenset(special) if special is not None else DEFAULT_SPECIAL_CHARS,
         merge_enabled=bool(raw.get("merge_enabled")),
         merge_threshold=raw.get("merge_threshold"),
-        line_format=LineFormat(list(fmt)),
+        line_format=LineFormat(["Content"] if fmt is None else fmt),
     )
 
 
@@ -173,24 +176,40 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     wildcards_before = _wildcards(dag)
     rules = config.preprocess_rules
     fmt = config.line_format
+    # Read per call, not at import: hooks installed before the call see every line.
+    extract, preprocess, to_tokens = extract_content, apply_preprocess, tokenize
+    parse_line = dag.parse_line
+    # Output ID -> (template text, CSV encoding of "OutputId,EventTemplate\r\n").
+    # The text is immutable, so the same object always encodes to the same
+    # tail; a changed template is a new object and is encoded again.
+    tails: dict[int, tuple[str, str]] = {}
+    buf = io.StringIO()
+    tail_writer = csv.writer(buf)
     with open(out_dir / STRUCTURED_CSV, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["LineId", "OutputId", "EventTemplate"])
+        csv.writer(fh).writerow(["LineId", "OutputId", "EventTemplate"])
+        write = fh.write
         first_id = line_id = sum(g.count for g in dag.groups.values())
         for raw in lines:
             raw = raw.rstrip("\n")
             if not raw:
                 continue
             try:
-                content = extract_content(fmt, raw)
+                content = extract(fmt, raw)
             except ValueError:
                 stats.malformed_skipped += 1
                 continue
             line_id += 1
             if rules:
-                content = apply_preprocess(rules, content)
-            record = dag.parse_line(line_id, tokenize(content))
-            writer.writerow([record.line_id, record.output_id, record.template_text])
+                content = preprocess(rules, content)
+            record = parse_line(line_id, to_tokens(content))
+            text = record.template_text
+            cached = tails.get(record.output_id)
+            if cached is None or cached[0] is not text:
+                buf.seek(0)
+                buf.truncate()
+                tail_writer.writerow((record.output_id, text))
+                cached = tails[record.output_id] = (text, buf.getvalue())
+            write(f"{line_id},{cached[1]}")
     stats.lines_parsed = line_id - first_id
     stats.cache_hits = dag.cache_hits - cache_hits_before
     # Each merge folds a new group into an existing output node.

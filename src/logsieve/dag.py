@@ -66,7 +66,7 @@ class LengthNode:
     cache: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class StructuredRecord:
     line_id: int
     group_id: int
@@ -124,7 +124,10 @@ class ParseDag:
 
         The cached group of the message's length node is tried first with the
         same acceptance test the full search applies; on a miss the full
-        length -> split key -> similarity traversal runs.
+        length -> split key -> similarity traversal runs. The best candidate
+        by similarity wins; ties go to the template with the fewest
+        wildcards, then earliest creation. It is accepted only if the score
+        reaches the candidate's own threshold.
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
@@ -143,16 +146,11 @@ class ParseDag:
         group_ids = length_node.split_nodes.get(key)
         if group_ids is None:
             return None
-        return self._match_group(group_ids, tokens)
-
-    def _match_group(self, group_ids: list[int], tokens: list[str]) -> tuple[int, float] | None:
-        """Best candidate by similarity, and its score; ties go to the template
-        with the fewest wildcards, then earliest creation. Accepted only if the
-        score reaches the candidate's own threshold."""
+        groups = self.groups
         best = None
         best_score = -1.0
         for gid in group_ids:
-            group = self.groups[gid]
+            group = groups[gid]
             score = sim_seq(tokens, group.event)
             # A score is never below 0, so ``best`` is set before any tie.
             if score > best_score or (
@@ -160,9 +158,7 @@ class ParseDag:
             ):
                 best = group
                 best_score = score
-        if best is None:
-            return None
-        if best_score >= best.st:
+        if best is not None and best_score >= best.st:
             return best.group_id, best_score
         return None
 
@@ -266,12 +262,11 @@ class ParseDag:
             group = self.groups[group_id]
             self.update_group(group, tokens, score)
         self.length_nodes[len(tokens)].cache = group_id
-        return StructuredRecord(
-            line_id=line_id,
-            group_id=group_id,
-            output_id=group.output_id,
-            template_text=self.output_text(group.output_id),
-        )
+        output_id = group.output_id
+        text = self.outputs[output_id].text
+        if text is None:
+            text = self.output_text(output_id)
+        return StructuredRecord(line_id, group_id, output_id, text)
 
     # -- reporting -------------------------------------------------------
 

@@ -129,16 +129,17 @@ def select_split_token(
     end token is never chosen. When neither end has digits, punctuation in the
     first token defers to the last one.
     """
+    # has_digit and has_special, inlined: this runs on most lines.
     first = tokens[0]
     last = tokens[-1]
-    if has_digit(first):
-        if has_digit(last):
+    if not _DIGITS.isdisjoint(first):
+        if not _DIGITS.isdisjoint(last):
             return None
         return (LAST, last)
-    if has_digit(last):
+    if not _DIGITS.isdisjoint(last):
         return (FIRST, first)
-    if has_special(first, special_chars):
-        if has_special(last, special_chars):
+    if not special_chars.isdisjoint(first):
+        if not special_chars.isdisjoint(last):
             return None
         return (LAST, last)
     return (FIRST, first)

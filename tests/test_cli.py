@@ -232,9 +232,12 @@ class TestMainCli:
         "merge_threshold: 7\n",
         "merge_enabled: false\nmerge_threshold: 0\n",
         "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: 'F\\d'\n",
+        "line_format: []\n",
+        "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: F\n    flags: i\n",
     ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
             "yaml-syntax", "enabled-string", "line-format-string", "threshold-nan-merge-off",
-            "threshold-7-merge-off", "threshold-0-merge-off", "replacement-backslash"])
+            "threshold-7-merge-off", "threshold-0-merge-off", "replacement-backslash",
+            "line-format-empty", "rule-unknown-key"])
     def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
@@ -357,3 +360,45 @@ class TestResume:
             assert head + tail[1:] == rows("whole", "structured.csv")
             assert rows("tail", "templates.csv") == rows("whole", "templates.csv")
             assert resumed.to_json() == whole.to_json()
+
+
+# Tokens that CSV must quote (a comma, a quote), a wildcard-like literal,
+# digit-bearing tokens, and whitespace-only lines, which parse as empty
+# templates under the default [Content] format.
+_ROW_LINE = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "a,b", '"q"', ",", "*", "x1", "n2"]),
+             min_size=1, max_size=4).map(" ".join),
+    st.sampled_from([" ", "\t", "  "]),
+)
+
+
+class TestStructuredRows:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(_ROW_LINE, max_size=30),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), cache=st.booleans(),
+           data=st.data())
+    def test_rows_equal_plain_csv_of_each_record(self, lines, threshold, cache, data):
+        # run_stream encodes each template's row tail once per version of its
+        # text; the reference writes every record with a plain csv writer.
+        split = data.draw(st.integers(0, len(lines)))
+        merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
+        config = RunConfig(cache_enabled=cache, **merge)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            _, head = run_stream(config, lines[:split], out / "head")
+            resumed = ParseDag.from_json(head.to_json(), cache_enabled=cache)
+            run_stream(config, lines[split:], out / "tail", dag=resumed)
+            got = (out / "head" / "structured.csv").read_bytes()
+            tail = (out / "tail" / "structured.csv").read_bytes()
+            got += tail[tail.index(b"\n") + 1:]
+
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["LineId", "OutputId", "EventTemplate"])
+        dag = ParseDag(cache_enabled=cache, **merge)
+        for line_id, line in enumerate(lines, start=1):
+            if line_id == split + 1:
+                dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
+            record = dag.parse_line(line_id, line.split())
+            writer.writerow([record.line_id, record.output_id, record.template_text])
+        assert got == expected.getvalue().encode("utf-8")

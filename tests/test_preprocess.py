@@ -191,3 +191,23 @@ class TestSelectSplitToken:
     @given(st.lists(token_strat, min_size=1, max_size=8))
     def test_pure_function(self, tokens):
         assert select_split_token(tokens) == select_split_token(tokens)
+
+    @staticmethod
+    def reference_split_token(tokens, special_chars):
+        """The split rule written with the public character-class tests."""
+        first, last = tokens[0], tokens[-1]
+        if has_digit(first):
+            return None if has_digit(last) else (LAST, last)
+        if has_digit(last):
+            return (FIRST, first)
+        if has_special(first, special_chars):
+            return None if has_special(last, special_chars) else (LAST, last)
+        return (FIRST, first)
+
+    @given(st.lists(token_strat, min_size=1, max_size=8),
+           st.text(alphabet=st.sampled_from("#<>*_.az0"), max_size=5))
+    def test_matches_the_rule_built_from_has_digit_and_has_special(self, tokens, special):
+        special_chars = frozenset(special)
+        assert select_split_token(tokens, special_chars) == self.reference_split_token(
+            tokens, special_chars
+        )
