@@ -19,7 +19,7 @@ from logsieve.cli import (
     run_stream,
 )
 from logsieve.dag import ParseDag
-from logsieve.preprocess import ConfigError, PreprocessRule
+from logsieve.preprocess import ConfigError, PreprocessRule, tokenize
 
 HDFS_LINE = (
     "081109 204655 556 INFO dfs.DataNode$PacketResponder: "
@@ -234,10 +234,11 @@ class TestMainCli:
         "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: 'F\\d'\n",
         "line_format: []\n",
         "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: F\n    flags: i\n",
+        "1: x\nmerge: y\n",
     ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
             "yaml-syntax", "enabled-string", "line-format-string", "threshold-nan-merge-off",
             "threshold-7-merge-off", "threshold-0-merge-off", "replacement-backslash",
-            "line-format-empty", "rule-unknown-key"])
+            "line-format-empty", "rule-unknown-key", "unknown-keys-of-mixed-types"])
     def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
@@ -399,6 +400,6 @@ class TestStructuredRows:
         for line_id, line in enumerate(lines, start=1):
             if line_id == split + 1:
                 dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
-            record = dag.parse_line(line_id, line.split())
+            record = dag.parse_line(line_id, tokenize(line))
             writer.writerow([record.line_id, record.output_id, record.template_text])
         assert got == expected.getvalue().encode("utf-8")
