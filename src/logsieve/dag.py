@@ -10,7 +10,8 @@ time; snapshots may be read when no writer is active.
 """
 
 import json
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from functools import reduce
 
 from .preprocess import FIRST, LAST, SplitKey, select_split_token, DEFAULT_SPECIAL_CHARS
 from .similarity import (
@@ -24,7 +25,7 @@ from .similarity import (
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v2"
+SNAPSHOT_SCHEMA = "logsieve-state-v3"
 
 
 def render_template(event: list[Token]) -> str:
@@ -52,10 +53,10 @@ class LogGroup:
 class OutputNode:
     output_id: int
     group_ids: list[int]
-    # Set at merge time; single-group nodes render their group's live event.
-    merged_template: list[Token] | None = None
-    # Derived, never serialized: the rendered template, filled on first read
-    # and cleared whenever the template changes.
+    # Derived, never serialized, and both cleared whenever a member gains a
+    # wildcard: a merged node's template (the LCS fold of its members' live
+    # events) and the rendered template, each filled on first read.
+    template: list[Token] | None = field(default=None, repr=False, compare=False)
     text: str | None = field(default=None, repr=False, compare=False)
 
 
@@ -97,18 +98,23 @@ class ParseDag:
         self.outputs: dict[int, OutputNode] = {}
         # Merge candidates: literal token -> {output ID: count}, filled only
         # when merging is on. A node's counts are those of its template when
-        # it was indexed; they stay upper bounds, because a template's
-        # literals only shrink (wildcarding, or an LCS of itself on merge).
+        # it was indexed; they stay upper bounds, as a template is a
+        # subsequence of its first member's event, whose literals only shrink.
         self.merge_index: dict[str, dict[int, int]] = {}
         self.cache_hits = 0
 
     # -- rendering -------------------------------------------------------
 
     def output_template(self, output_id: int) -> list[Token]:
+        """A single group's live event; for a merged node, the left fold of
+        ``lcs`` over its members' live events in group-ID order, which is
+        empty once the members share no literal."""
         node = self.outputs[output_id]
-        if node.merged_template is not None:
-            return node.merged_template
-        return self.groups[node.group_ids[0]].event
+        if len(node.group_ids) == 1:
+            return self.groups[output_id].event
+        if node.template is None:
+            node.template = reduce(lcs, [self.groups[gid].event for gid in node.group_ids])
+        return node.template
 
     def output_text(self, output_id: int) -> str:
         """The rendered output template, rendered again only after it changed."""
@@ -194,12 +200,12 @@ class ParseDag:
         """Fuse the fresh group into the most similar existing output node if
         template similarity strictly exceeds the merge threshold; ties go to
         the lowest output ID. The merged node's template becomes the LCS of
-        the two templates.
+        the two templates, which is its fold with the new member last.
 
         Only nodes sharing a literal with the new event are visited. The LCS
         is at most the shared literal count, so a node whose shared count
         over the shorter length does not exceed the threshold, or the best
-        score so far, cannot win and is not scored."""
+        score so far, cannot win and is not scored, nor can an empty template."""
         event = new_group.event
         counts = _literal_counts(event)
         shared: dict[int, int] = {}
@@ -210,7 +216,7 @@ class ParseDag:
         best_score = self.merge_threshold
         for output_id in sorted(shared):
             template = self.output_template(output_id)
-            if shared[output_id] / min(len(event), len(template)) <= best_score:
+            if not template or shared[output_id] / min(len(event), len(template)) <= best_score:
                 continue
             score = tem_sim(event, template)
             if score > best_score:
@@ -220,7 +226,7 @@ class ParseDag:
             self._index_output(new_group.output_id, counts)
             return None
         target = self.outputs[best_id]
-        target.merged_template = lcs(self.output_template(best_id), new_group.event)
+        target.template = lcs(self.output_template(best_id), new_group.event)
         target.text = None
         target.group_ids.append(new_group.group_id)
         del self.outputs[new_group.output_id]
@@ -248,7 +254,8 @@ class ParseDag:
         if replaced and group.threshold is not None:
             group.threshold.eta += replaced
             group.st = current_st(group.threshold)
-            self.outputs[group.output_id].text = None
+            node = self.outputs[group.output_id]
+            node.template = node.text = None
         return replaced
 
     def parse_line(self, line_id: int, tokens: list[str]) -> StructuredRecord:
@@ -286,8 +293,8 @@ class ParseDag:
 
     def to_json(self) -> str:
         """Serialize what resuming the stream needs: the settings a resumed run
-        must match, one entry per group, the merged templates (keyed by output
-        ID) and each length node's cache pointer. Wildcards are JSON null."""
+        must match, one entry per group and each length node's cache pointer.
+        Wildcards are JSON null."""
         keys = {gid: key for node in self.length_nodes.values()
                 for key, ids in node.split_nodes.items() for gid in ids}
         state = {
@@ -298,11 +305,10 @@ class ParseDag:
             "groups": [
                 {"id": gid, "key": keys[gid], "event": g.event, "count": g.count,
                  "output": g.output_id,
-                 "threshold": None if g.threshold is None else astuple(g.threshold)}
+                 "threshold": None if g.threshold is None
+                 else [g.threshold.st_init, g.threshold.base]}
                 for gid, g in sorted(self.groups.items())
             ],
-            "merged": {oid: node.merged_template for oid, node in self.outputs.items()
-                       if node.merged_template is not None},
             "cache": {n: node.cache for n, node in self.length_nodes.items()
                       if node.cache is not None},
         }
@@ -310,23 +316,21 @@ class ParseDag:
 
     @classmethod
     def from_json(cls, text: str, cache_enabled: bool = True) -> "ParseDag":
-        """Rebuild a parser from ``to_json`` output. The length/split index and
-        the output nodes' group lists are derived from the groups, in ID order,
-        and the merge index from the output nodes' templates.
-        Raises ValueError naming the first problem of any other input."""
+        """Rebuild a parser from ``to_json`` output. The length/split index, the
+        output nodes' group lists and each threshold's ``eta`` (its event's
+        wildcards) come from the groups, and the merge index from the output
+        nodes' templates. Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
         dag = cls(state["merge_enabled"], state["merge_threshold"],
                   frozenset(state["special_chars"]), cache_enabled)
         for entry in state["groups"]:
             gid, event, thr, out = entry["id"], entry["event"], entry["threshold"], entry["output"]
             key = None if entry["key"] is None else tuple(entry["key"])
-            threshold = None if thr is None else ThresholdState(*thr)
+            threshold = None if thr is None else ThresholdState(*thr, event.count(None))
             dag.groups[gid] = LogGroup(gid, event, entry["count"], threshold, out)
             length_node = dag.length_nodes.setdefault(len(event), LengthNode())
             length_node.split_nodes.setdefault(key, []).append(gid)
             dag.outputs.setdefault(out, OutputNode(out, [])).group_ids.append(gid)
-        for oid, template in state["merged"].items():
-            dag.outputs[int(oid)].merged_template = template
         for length, gid in state["cache"].items():
             dag.length_nodes[int(length)].cache = gid
         if dag.merge_enabled:
@@ -345,8 +349,7 @@ def _literal_counts(template: list[Token]) -> dict[str, int]:
 
 # -- state validation ----------------------------------------------------
 
-_STATE_KEYS = ["cache", "groups", "merge_enabled", "merge_threshold", "merged", "schema",
-               "special_chars"]
+_STATE_KEYS = ["cache", "groups", "merge_enabled", "merge_threshold", "schema", "special_chars"]
 _GROUP_KEYS = ["count", "event", "id", "key", "output", "threshold"]
 
 
@@ -365,7 +368,7 @@ def _is_event(value) -> bool:
 
 
 def _checked_state(text: str) -> dict:
-    """Parse a v2 state, checking its keys, types and cross-references."""
+    """Parse a v3 state, checking its keys, types and cross-references."""
     try:
         state = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -376,8 +379,7 @@ def _checked_state(text: str) -> dict:
     threshold, groups = state["merge_threshold"], state["groups"]
     _require(type(state["merge_enabled"]) is bool and type(state["special_chars"]) is str
              and (threshold is None or type(threshold) in (int, float)), "bad settings")
-    _require(isinstance(groups, list) and isinstance(state["merged"], dict)
-             and isinstance(state["cache"], dict), "groups must be an array, merged and cache maps")
+    _require(isinstance(groups, list) and isinstance(state["cache"], dict), "bad groups or cache")
     for gid, group in enumerate(groups, start=1):
         _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
                  f"group {gid}: the keys must be {_GROUP_KEYS}")
@@ -387,13 +389,10 @@ def _checked_state(text: str) -> dict:
                  f"group {gid}: bad count or event")
         _require(key is None or _is_list(key, str, str) and key[0] in (FIRST, LAST),
                  f"group {gid}: bad split key")
-        _require(thr is None if not event else _is_list(thr, float, int, int)
-                 and thr[1] >= 2 and thr[2] >= 0, f"group {gid}: bad threshold")
+        _require(thr is None if not event else _is_list(thr, float, int) and thr[1] >= 2,
+                 f"group {gid}: bad threshold")
         _require(out == gid or type(out) is int and 0 < out < gid
                  and groups[out - 1]["output"] == out, f"group {gid}: bad output {out!r}")
-    for oid, template in state["merged"].items():
-        _require(oid.isdecimal() and 0 < int(oid) <= len(groups) and _is_event(template)
-                 and groups[int(oid) - 1]["output"] == int(oid), f"merged: bad entry {oid!r}")
     for length, gid in state["cache"].items():
         _require(length.isdecimal() and type(gid) is int and 0 < gid <= len(groups)
                  and len(groups[gid - 1]["event"]) == int(length), f"cache: bad entry {length!r}")

@@ -43,8 +43,8 @@ def sim_seq(message: list[str], event: list[Token]) -> float:
 class ThresholdState:
     """Per-group adaptive acceptance threshold.
 
-    ``st_init`` and ``base`` are frozen at group creation; ``eta`` counts
-    template tokens replaced by wildcards so far.
+    ``st_init`` and ``base`` are frozen at group creation; ``eta`` counts the
+    template tokens replaced by wildcards, so it is the event's wildcard count.
     """
 
     st_init: float
@@ -70,31 +70,49 @@ def current_st(state: ThresholdState) -> float:
     return min(1.0, state.st_init + 0.5 * math.log(state.eta + 1, state.base))
 
 
+def _columns(a: list, b: list) -> list[int]:
+    """Bit-parallel LCS columns (Allison & Dix 1986; Hyyro 2004): ``v`` holds
+    one bit per element of ``a``, ``cols[j]`` is ``v`` after ``b[:j]``, and its
+    zero bits below bit ``i`` count the LCS of ``a[:i]`` and ``b[:j]``. Each
+    element of ``b`` costs a few integer operations, not a pass over ``a``."""
+    masks: dict = {}
+    bit = 1
+    for token in a:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    cols = [v]
+    for token in b:
+        match = masks.get(token)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+        cols.append(v)
+    return cols
+
+
 def lcs(a: list, b: list) -> list:
     """Longest common subsequence over exact element equality.
 
-    Ties in the dynamic-programming backtrace are broken deterministically so
-    merged templates are reproducible run-to-run.
+    A walk back over ``_columns``, with ties broken deterministically so
+    merged templates are reproducible run-to-run: equal elements are kept;
+    otherwise the walk drops from ``a`` when that keeps the LCS at least as
+    long as dropping from ``b``.
     """
-    la, lb = len(a), len(b)
-    table = [[0] * (lb + 1) for _ in range(la + 1)]
-    for i in range(1, la + 1):
-        row = table[i]
-        prev = table[i - 1]
-        ai = a[i - 1]
-        for j in range(1, lb + 1):
-            if ai == b[j - 1]:
-                row[j] = prev[j - 1] + 1
-            else:
-                row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
+    cols = _columns(a, b)
+
+    def length(i: int, j: int) -> int:  # LCS length of a[:i] and b[:j]
+        return i - (cols[j] & ((1 << i) - 1)).bit_count()
+
     out = []
-    i, j = la, lb
-    while i > 0 and j > 0:
-        if a[i - 1] == b[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
+    i, j = len(a), len(b)
+    while i and j:
+        if a[i - 1] == b[j - 1]:
             out.append(a[i - 1])
             i -= 1
             j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
+        elif length(i - 1, j) >= length(i, j - 1):
             i -= 1
         else:
             j -= 1
@@ -103,26 +121,8 @@ def lcs(a: list, b: list) -> list:
 
 
 def lcs_len(a: list, b: list) -> int:
-    """Length of the longest common subsequence, by the same ``==`` as ``lcs``.
-
-    Bit-parallel (Allison & Dix 1986; Hyyro 2004): ``v`` holds one bit per
-    element of ``a``, and its zero bits count the LCS of ``a`` with the prefix
-    of ``b`` read so far, so each element of ``b`` costs a few integer
-    operations instead of a pass over ``a``.
-    """
-    masks: dict = {}
-    bit = 1
-    for token in a:
-        masks[token] = masks.get(token, 0) | bit
-        bit <<= 1
-    full = bit - 1
-    v = full
-    for token in b:
-        match = masks.get(token)
-        if match:
-            u = v & match
-            v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    """Length of the longest common subsequence, by the same ``==`` as ``lcs``."""
+    return len(a) - _columns(a, b)[-1].bit_count()
 
 
 def tem_sim(new_event: list[Token], exist_event: list[Token]) -> float:

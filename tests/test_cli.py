@@ -278,6 +278,17 @@ V1_STATE = {
 }
 
 
+V2_STATE = {
+    "schema": "logsieve-state-v2", "merge_enabled": True, "merge_threshold": 0.5,
+    "special_chars": "#$')*+,/<=>@^_`|~", "cache": {"3": 1, "4": 2},
+    "groups": [{"id": 1, "key": ["first", "Send"], "event": ["Send", "file", None], "count": 2,
+                "output": 1, "threshold": [0.3333333333333333, 2, 1]},
+               {"id": 2, "key": ["first", "Send"], "event": ["Send", "file", "f2", "now"],
+                "count": 1, "output": 1, "threshold": [0.375, 2, 0]}],
+    "merged": {"1": ["Send", "file"]},
+}
+
+
 class TestStateFiles:
     """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
 
@@ -305,6 +316,19 @@ class TestStateFiles:
     def test_v1_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V1_STATE))
         assert "logsieve-state-v1" in err
+
+    def test_v2_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, json.dumps(V2_STATE))
+        assert "logsieve-state-v3" in err
+
+    def test_state_holds_no_merged_templates_or_wildcard_counts(self):
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
+        for line_id, line in enumerate(["Send file f1", "Send file f2", "Send file f2 now"], 1):
+            dag.parse_line(line_id, line.split())
+        assert len(dag.outputs) == 1
+        state = json.loads(dag.to_json())
+        assert "merged" not in state
+        assert [len(group["threshold"]) for group in state["groups"]] == [2, 2]
 
     def test_truncated_file(self, tmp_path, capsys):
         text = self.saved_state(tmp_path)

@@ -1,13 +1,15 @@
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
 from logsieve.dag import ParseDag, render_template
-from logsieve.similarity import WILDCARD, current_st, lcs, sim_seq
+from logsieve.similarity import WILDCARD, current_st, sim_seq
 from logsieve import synth
+from test_similarity import dp_lcs
 
 
 def parse_all(dag, lines):
@@ -124,7 +126,7 @@ def brute_force_merge_target(dag, group):
         template = dag.output_template(output_id)
         if output_id == group.output_id or not template:
             continue
-        score = len(lcs(group.event, template)) / min(len(group.event), len(template))
+        score = len(dp_lcs(group.event, template)) / min(len(group.event), len(template))
         if score > best_score:
             best_id, best_score = output_id, score
     return best_id if best_id is not None and best_score > dag.merge_threshold else None
@@ -168,6 +170,24 @@ class TestMerge:
         assert len(dag.outputs) == 1
         merged = dag.output_template(1)
         assert merged == ["Send", "file"]
+
+    def test_merged_template_shows_a_member_wildcard(self):
+        # Line 3 wildcards group 1 after the merge; the merged template is
+        # derived from the members' live events, so it drops the variable.
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.7)
+        records = parse_all(dag, ["send pkt alpha to host", "send pkt alpha to host now",
+                                  "send pkt beta to host"])
+        assert [r.output_id for r in records] == [1, 1, 1]
+        assert records[2].template_text == "send pkt to host"
+        assert dag.snapshot_groups() == [(1, "send pkt to host", 3)]
+
+    def test_members_sharing_no_literal_render_empty(self):
+        # Line 3 wildcards group 2's only token, so the members share no
+        # literal; the empty template is never a merge candidate.
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.3)
+        records = parse_all(dag, ["n1 a a", "n1", "svc", "svc a"])
+        assert [r.template_text for r in records] == ["n1 a a", "n1", "", "svc a"]
+        assert [r.output_id for r in records] == [1, 1, 1, 3]
 
     def test_merge_requires_threshold(self):
         with pytest.raises(ValueError):
@@ -213,8 +233,9 @@ _HEADED_MESSAGE = st.one_of(
 
 
 class TestDerivedState:
-    """The cached threshold and template text always equal what they cache,
-    and a matched group's literals all agree with the message."""
+    """The cached threshold, merged template and template text always equal
+    what they cache, each threshold's wildcard count is its event's, and a
+    matched group's literals all agree with the message."""
 
     @settings(max_examples=300, deadline=None)
     @given(messages=st.lists(_HEADED_MESSAGE, max_size=40),
@@ -234,6 +255,11 @@ class TestDerivedState:
             for group in dag.groups.values():
                 if group.threshold is not None:
                     assert group.st == current_st(group.threshold)
+                    assert group.threshold.eta == group.event.count(None)
+            for output_id, node in dag.outputs.items():
+                if len(node.group_ids) > 1:
+                    events = [dag.groups[gid].event for gid in node.group_ids]
+                    assert dag.output_template(output_id) == reduce(dp_lcs, events)
         for output_id, text, _ in dag.snapshot_groups():
             assert text == render_template(dag.output_template(output_id))
 

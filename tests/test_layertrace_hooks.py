@@ -46,7 +46,8 @@ with tempfile.TemporaryDirectory() as tmp:
 metrics, absent = layertrace.layer_metrics(tracer, dag, n_lines)
 calls = {name: counts[0] for name, counts in tracer.stats.items()}
 print(json.dumps({"missing": missing, "absent": absent, "metrics": metrics,
-                  "calls": calls, "lines_parsed": stats.lines_parsed}))
+                  "calls": calls, "lines_parsed": stats.lines_parsed,
+                  "merges": tracer.counters["merges_accepted"]}))
 """
 
 
@@ -69,3 +70,8 @@ def test_every_hook_fires_once_per_line(workload):
     calls = report["calls"]
     for name in ("cli.extract_content", "preprocess.tokenize", "dag.parse_line"):
         assert calls[name] == N_LINES, name
+    # Every accepted merge calls lcs through the graph module at least once,
+    # so a name bound at import would leave the count short.
+    assert calls.get("similarity.lcs", 0) >= report["merges"]
+    if workload == "merge_heavy":
+        assert report["merges"] > 0

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logsieve.similarity import (
     ThresholdState,
@@ -123,6 +123,38 @@ class TestThreshold:
         assert current_st(hi) <= 1.0
 
 
+def dp_lcs(a: list, b: list) -> list:
+    """Longest common subsequence over exact element equality.
+
+    Ties in the dynamic-programming backtrace are broken deterministically so
+    merged templates are reproducible run-to-run.
+    """
+    la, lb = len(a), len(b)
+    table = [[0] * (lb + 1) for _ in range(la + 1)]
+    for i in range(1, la + 1):
+        row = table[i]
+        prev = table[i - 1]
+        ai = a[i - 1]
+        for j in range(1, lb + 1):
+            if ai == b[j - 1]:
+                row[j] = prev[j - 1] + 1
+            else:
+                row[j] = prev[j] if prev[j] >= row[j - 1] else row[j - 1]
+    out = []
+    i, j = la, lb
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
+            out.append(a[i - 1])
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] >= table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    out.reverse()
+    return out
+
+
 def brute_force_lcs_len(a, b):
     """Longest common subsequence length by enumerating subsequences of a."""
     best = 0
@@ -160,6 +192,14 @@ class TestLcs:
             it = iter(seq)
             assert all(x in it for x in got)
 
+    # Tiny vocabulary with the wildcard: repeats, ties and empty lists are
+    # common, so the walk's tie rule is exercised against the DP backtrace.
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=8),
+           st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=8))
+    def test_equals_dp_backtrace(self, a, b):
+        assert lcs(a, b) == dp_lcs(a, b)
+
     @given(seqs, seqs)
     def test_length_symmetry_and_bound(self, a, b):
         assert len(lcs(a, b)) == len(lcs(b, a))
@@ -173,7 +213,7 @@ class TestLcsLen:
 
     @given(seqs, seqs)
     def test_equals_dp_and_brute_force(self, a, b):
-        assert lcs_len(a, b) == len(lcs(a, b)) == brute_force_lcs_len(a, b)
+        assert lcs_len(a, b) == len(dp_lcs(a, b)) == brute_force_lcs_len(a, b)
 
     def test_worked_example(self):
         assert lcs_len([1, 2, 3, 4], [2, 4, 5]) == 2
