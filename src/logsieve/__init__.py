@@ -2,7 +2,7 @@
 
 Raw log lines go in; (event ID, template) records come out. Templates are
 mined incrementally in a fixed-depth graph with per-group self-tuning
-similarity thresholds, a per-length cache fast path, and an optional
+similarity thresholds, an exact per-length fast path, and an optional
 template-merge pass. A pairwise-F-measure evaluator and a scaling benchmark
 ship alongside.
 """

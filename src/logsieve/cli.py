@@ -75,7 +75,6 @@ class RunConfig:
     merge_enabled: bool = False
     merge_threshold: float | None = None
     line_format: LineFormat = field(default_factory=lambda: LineFormat(["Content"]))
-    cache_enabled: bool = True
 
     def __post_init__(self):
         # Checked even with merging off: a resumed run must match the saved
@@ -167,7 +166,6 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             merge_enabled=config.merge_enabled,
             merge_threshold=config.merge_threshold,
             special_chars=config.special_chars,
-            cache_enabled=config.cache_enabled,
         )
     stats = RunStats()
     start = time.perf_counter()
@@ -300,15 +298,21 @@ def _open_input(path: str):
     return open(path, encoding="utf-8", errors="replace")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line like a bad configuration: one line, exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="logsieve", description=__doc__)
+    parser = _ArgumentParser(prog="logsieve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--input", default="-", help="input log file, or - for stdin")
         p.add_argument("--output-dir", default="logsieve-out", help="directory for output CSVs")
-        p.add_argument("--no-cache", action="store_true", help="disable the length-node cache")
 
     p_parse = sub.add_parser("parse", help="parse a stream into structured CSVs")
     common(p_parse)
@@ -333,11 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else RunConfig()
-        config.cache_enabled = not args.no_cache
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -349,10 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "parse":
             dag = None
             if args.load_state:
-                dag = ParseDag.from_json(
-                    Path(args.load_state).read_text(encoding="utf-8"),
-                    cache_enabled=config.cache_enabled,
-                )
+                dag = ParseDag.from_json(Path(args.load_state).read_text(encoding="utf-8"))
                 differ = [name for name in ("merge_enabled", "merge_threshold", "special_chars")
                           if getattr(dag, name) != getattr(config, name)]
                 if differ:

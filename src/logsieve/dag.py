@@ -3,7 +3,7 @@ and output nodes, mutated one message at a time.
 
 Traversal per message: length node (token count) -> token node (split key) ->
 similarity node (candidate group list) -> output node (final template). Each
-length node also caches the last matched group as a fast path.
+length node also keeps its last used similarity node for an exact fast path.
 
 Single-writer contract: one ParseDag is driven by one logical stream at a
 time; snapshots may be read when no writer is active.
@@ -25,7 +25,7 @@ from .similarity import (
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v3"
+SNAPSHOT_SCHEMA = "logsieve-state-v4"
 
 
 def render_template(event: list[Token]) -> str:
@@ -64,7 +64,8 @@ class OutputNode:
 class LengthNode:
     # split key -> ordered group-id list (the similarity node)
     split_nodes: dict[SplitKey, list[int]] = field(default_factory=dict)
-    cache: int | None = None
+    # The similarity node of the last match or creation here; not serialized.
+    cache: list[int] | None = None
 
 
 @dataclass(slots=True)
@@ -83,7 +84,6 @@ class ParseDag:
         merge_enabled: bool = False,
         merge_threshold: float | None = None,
         special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS,
-        cache_enabled: bool = True,
     ):
         if merge_enabled and merge_threshold is None:
             raise ValueError("merge_threshold required when merging is enabled")
@@ -92,16 +92,15 @@ class ParseDag:
         self.merge_enabled = merge_enabled
         self.merge_threshold = merge_threshold
         self.special_chars = frozenset(special_chars)
-        self.cache_enabled = cache_enabled
         self.length_nodes: dict[int, LengthNode] = {}
         self.groups: dict[int, LogGroup] = {}
         self.outputs: dict[int, OutputNode] = {}
         # Merge candidates: literal token -> {output ID: count}, filled only
-        # when merging is on. A node's counts are those of its template when
-        # it was indexed; they stay upper bounds, as a template is a
-        # subsequence of its first member's event, whose literals only shrink.
+        # when merging is on. A node's counts are those of its first member's
+        # event when it was indexed; they stay upper bounds, as a template is
+        # a subsequence of that event, whose literals only shrink.
         self.merge_index: dict[str, dict[int, int]] = {}
-        self.cache_hits = 0
+        self.cache_hits = 0  # lines the fast path accepted
 
     # -- rendering -------------------------------------------------------
 
@@ -128,26 +127,33 @@ class ParseDag:
     def search(self, tokens: list[str]) -> tuple[int, float] | None:
         """Find the group accepting this message and its score, or None.
 
-        The cached group of the message's length node is tried first with the
-        same acceptance test the full search applies; on a miss the full
-        length -> split key -> similarity traversal runs. The best candidate
-        by similarity wins; ties go to the template with the fewest
-        wildcards, then earliest creation. It is accepted only if the score
-        reaches the candidate's own threshold.
+        The message routes by length, then split key, to a similarity node.
+        The best candidate there by similarity wins; ties go to the template
+        with the fewest wildcards, then earliest creation. It is accepted
+        only if the score reaches the candidate's own threshold.
+
+        Fast path: the length node keeps the similarity node it last used.
+        The split key reads only the two end tokens, and a literal end of an
+        event is its first message's, so a message whose ends equal a group's
+        literal ends routes to that group's node. When that node holds this
+        one group, the group alone decides, as the full scan would.
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
             return None
-        if self.cache_enabled and length_node.cache is not None:
-            cached = self.groups[length_node.cache]
-            if cached.threshold is not None:
-                score = sim_seq(tokens, cached.event)
-                if score >= cached.st:
-                    self.cache_hits += 1
-                    return cached.group_id, score
         if not tokens:
-            ids = length_node.split_nodes.get(None)
-            return (ids[0], 1.0) if ids else None  # an empty event scores 1.0
+            return length_node.split_nodes[None][0], 1.0  # an empty event scores 1.0
+        group_ids = length_node.cache
+        if group_ids is not None and len(group_ids) == 1:
+            group = self.groups[group_ids[0]]
+            event = group.event
+            # A wildcard (None) never equals a message token.
+            if tokens[0] == event[0] and tokens[-1] == event[-1]:
+                score = sim_seq(tokens, event)
+                if score < group.st:
+                    return None
+                self.cache_hits += 1
+                return group.group_id, score
         key = select_split_token(tokens, self.special_chars)
         group_ids = length_node.split_nodes.get(key)
         if group_ids is None:
@@ -165,6 +171,7 @@ class ParseDag:
                 best = group
                 best_score = score
         if best is not None and best_score >= best.st:
+            length_node.cache = group_ids
             return best.group_id, best_score
         return None
 
@@ -189,6 +196,7 @@ class ParseDag:
             output_id=group_id,
         )
         group_ids.append(group_id)
+        length_node.cache = group_ids
         self.groups[group_id] = group
         self.outputs[group_id] = OutputNode(output_id=group_id, group_ids=[group_id])
 
@@ -268,7 +276,6 @@ class ParseDag:
             group_id, score = found
             group = self.groups[group_id]
             self.update_group(group, tokens, score)
-        self.length_nodes[len(tokens)].cache = group_id
         output_id = group.output_id
         text = self.outputs[output_id].text
         if text is None:
@@ -293,8 +300,7 @@ class ParseDag:
 
     def to_json(self) -> str:
         """Serialize what resuming the stream needs: the settings a resumed run
-        must match, one entry per group and each length node's cache pointer.
-        Wildcards are JSON null."""
+        must match and one entry per group. Wildcards are JSON null."""
         keys = {gid: key for node in self.length_nodes.values()
                 for key, ids in node.split_nodes.items() for gid in ids}
         state = {
@@ -309,20 +315,19 @@ class ParseDag:
                  else [g.threshold.st_init, g.threshold.base]}
                 for gid, g in sorted(self.groups.items())
             ],
-            "cache": {n: node.cache for n, node in self.length_nodes.items()
-                      if node.cache is not None},
         }
         return json.dumps(state, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, cache_enabled: bool = True) -> "ParseDag":
+    def from_json(cls, text: str) -> "ParseDag":
         """Rebuild a parser from ``to_json`` output. The length/split index, the
         output nodes' group lists and each threshold's ``eta`` (its event's
-        wildcards) come from the groups, and the merge index from the output
-        nodes' templates. Raises ValueError naming the first problem of any other input."""
+        wildcards) come from the groups, and the merge index from each output
+        node's first member, the group with the node's ID. Raises ValueError
+        naming the first problem of any other input."""
         state = _checked_state(text)
         dag = cls(state["merge_enabled"], state["merge_threshold"],
-                  frozenset(state["special_chars"]), cache_enabled)
+                  frozenset(state["special_chars"]))
         for entry in state["groups"]:
             gid, event, thr, out = entry["id"], entry["event"], entry["threshold"], entry["output"]
             key = None if entry["key"] is None else tuple(entry["key"])
@@ -331,11 +336,9 @@ class ParseDag:
             length_node = dag.length_nodes.setdefault(len(event), LengthNode())
             length_node.split_nodes.setdefault(key, []).append(gid)
             dag.outputs.setdefault(out, OutputNode(out, [])).group_ids.append(gid)
-        for length, gid in state["cache"].items():
-            dag.length_nodes[int(length)].cache = gid
         if dag.merge_enabled:
             for oid in dag.outputs:
-                dag._index_output(oid, _literal_counts(dag.output_template(oid)))
+                dag._index_output(oid, _literal_counts(dag.groups[oid].event))
         return dag
 
 
@@ -349,7 +352,7 @@ def _literal_counts(template: list[Token]) -> dict[str, int]:
 
 # -- state validation ----------------------------------------------------
 
-_STATE_KEYS = ["cache", "groups", "merge_enabled", "merge_threshold", "schema", "special_chars"]
+_STATE_KEYS = ["groups", "merge_enabled", "merge_threshold", "schema", "special_chars"]
 _GROUP_KEYS = ["count", "event", "id", "key", "output", "threshold"]
 
 
@@ -368,7 +371,7 @@ def _is_event(value) -> bool:
 
 
 def _checked_state(text: str) -> dict:
-    """Parse a v3 state, checking its keys, types and cross-references."""
+    """Parse a v4 state, checking its keys, types and cross-references."""
     try:
         state = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -379,7 +382,8 @@ def _checked_state(text: str) -> dict:
     threshold, groups = state["merge_threshold"], state["groups"]
     _require(type(state["merge_enabled"]) is bool and type(state["special_chars"]) is str
              and (threshold is None or type(threshold) in (int, float)), "bad settings")
-    _require(isinstance(groups, list) and isinstance(state["cache"], dict), "bad groups or cache")
+    _require(isinstance(groups, list), "bad groups")
+    special_chars = frozenset(state["special_chars"])
     for gid, group in enumerate(groups, start=1):
         _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
                  f"group {gid}: the keys must be {_GROUP_KEYS}")
@@ -389,11 +393,13 @@ def _checked_state(text: str) -> dict:
                  f"group {gid}: bad count or event")
         _require(key is None or _is_list(key, str, str) and key[0] in (FIRST, LAST),
                  f"group {gid}: bad split key")
+        # The fast path in ``search`` relies on this: literal ends give the key.
+        if None not in event[:1] + event[-1:]:
+            expected = select_split_token(event, special_chars) if event else None
+            _require(key == (expected and list(expected)),
+                     f"group {gid}: split key {key!r} is not the one its ends give")
         _require(thr is None if not event else _is_list(thr, float, int) and thr[1] >= 2,
                  f"group {gid}: bad threshold")
         _require(out == gid or type(out) is int and 0 < out < gid
                  and groups[out - 1]["output"] == out, f"group {gid}: bad output {out!r}")
-    for length, gid in state["cache"].items():
-        _require(length.isdecimal() and type(gid) is int and 0 < gid <= len(groups)
-                 and len(groups[gid - 1]["event"]) == int(length), f"cache: bad entry {length!r}")
     return state

@@ -3,15 +3,11 @@
 Both partitions map line IDs to opaque cluster labels. Counts are over
 unordered line pairs: a true positive co-clusters a pair in both partitions,
 a false positive only in the prediction, a false negative only in the truth.
-
-``pair_counts_brute`` is the all-pairs enumeration oracle used to test the
-contingency-table implementation; keep the two independent.
 """
 
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 # line ID -> cluster label
 Partition = dict[int, object]
@@ -48,22 +44,6 @@ def pair_counts(predicted: Partition, truth: Partition) -> PairCounts:
     pred_pairs = sum(pairs(n) for n in pred_sizes.values())
     truth_pairs = sum(pairs(n) for n in truth_sizes.values())
     return PairCounts(tp=tp, fp=pred_pairs - tp, fn=truth_pairs - tp)
-
-
-def pair_counts_brute(predicted: Partition, truth: Partition) -> PairCounts:
-    """All-pairs enumeration oracle; quadratic, for testing only."""
-    _check_universe(predicted, truth)
-    tp = fp = fn = 0
-    for a, b in combinations(sorted(predicted), 2):
-        same_pred = predicted[a] == predicted[b]
-        same_truth = truth[a] == truth[b]
-        if same_pred and same_truth:
-            tp += 1
-        elif same_pred:
-            fp += 1
-        elif same_truth:
-            fn += 1
-    return PairCounts(tp=tp, fp=fp, fn=fn)
 
 
 def f_measure(counts: PairCounts) -> tuple[float, float, float]:

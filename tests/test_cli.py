@@ -20,6 +20,7 @@ from logsieve.cli import (
 )
 from logsieve.dag import ParseDag
 from logsieve.preprocess import ConfigError, PreprocessRule, tokenize
+from test_dag import ScanOnlyDag
 
 HDFS_LINE = (
     "081109 204655 556 INFO dfs.DataNode$PacketResponder: "
@@ -254,6 +255,22 @@ class TestMainCli:
         code = main(["bench", "--sizes", "12,potato", "--output-dir", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["parse", "--bogus"], ["eval"],
+        ["bench", "--sizes", "10", "--seed", "x"], ["bench"],
+    ], ids=["no-command", "unknown-command", "unknown-option", "eval-without-truth",
+            "seed-not-int", "bench-without-sizes"])
+    def test_bad_command_line_is_one_line_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["parse", "--help"])
+        assert exc.value.code == 0
+        assert "--save-state" in capsys.readouterr().out
+
     def test_stdin_bad_bytes_decode_like_file_input(self, tmp_path, monkeypatch):
         # Real stdin decodes with surrogateescape; a bad byte must not stop the run.
         raw = io.BytesIO(b"ok line\n\xff bad\nmore\n")
@@ -289,6 +306,14 @@ V2_STATE = {
 }
 
 
+V3_STATE = {
+    "schema": "logsieve-state-v3", "merge_enabled": False, "merge_threshold": None,
+    "special_chars": "#$')*+,/<=>@^_`|~", "cache": {"3": 1},
+    "groups": [{"id": 1, "key": ["first", "Send"], "event": ["Send", "file", None], "count": 2,
+                "output": 1, "threshold": [0.3333333333333333, 2]}],
+}
+
+
 class TestStateFiles:
     """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
 
@@ -319,7 +344,35 @@ class TestStateFiles:
 
     def test_v2_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V2_STATE))
-        assert "logsieve-state-v3" in err
+        assert "logsieve-state-v4" in err
+
+    def test_v3_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, json.dumps(V3_STATE))
+        assert err.startswith("error: bad state file:") and "logsieve-state-v4" in err
+
+    @pytest.mark.parametrize("key", [["first", "file"], ["last", "Send"], None],
+                             ids=["other-token", "other-end", "none"])
+    def test_split_key_not_the_literal_ends(self, tmp_path, capsys, key):
+        # The fast path routes by literal ends, so a key they do not give
+        # would let it and the full scan disagree.
+        state = json.loads(self.saved_state(tmp_path))
+        state["groups"][0]["event"][-1] = "now"
+        state["groups"][0]["key"] = key
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert err.startswith("error: bad state file: group 1: split key")
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from(["Send", "file", "f1", "a,b"]), max_size=4)
+                          .map(" ".join), max_size=20),
+           threshold=st.sampled_from([None, 0.5, 0.9]))
+    def test_state_holds_only_settings_and_groups(self, lines, threshold):
+        dag = ParseDag(merge_enabled=threshold is not None, merge_threshold=threshold)
+        for line_id, line in enumerate(lines, start=1):
+            dag.parse_line(line_id, tokenize(line))
+        state = json.loads(dag.to_json())
+        assert sorted(state) == ["groups", "merge_enabled", "merge_threshold", "schema",
+                                 "special_chars"]
+        assert len(state["groups"]) == len(dag.groups)
 
     def test_state_holds_no_merged_templates_or_wildcard_counts(self):
         dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
@@ -400,18 +453,18 @@ _ROW_LINE = st.one_of(
 class TestStructuredRows:
     @settings(max_examples=200, deadline=None)
     @given(lines=st.lists(_ROW_LINE, max_size=30),
-           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), cache=st.booleans(),
-           data=st.data())
-    def test_rows_equal_plain_csv_of_each_record(self, lines, threshold, cache, data):
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_rows_equal_plain_csv_of_each_record(self, lines, threshold, data):
         # run_stream encodes each template's row tail once per version of its
-        # text; the reference writes every record with a plain csv writer.
+        # text; the reference writes every record of the full-scan parser with
+        # a plain csv writer.
         split = data.draw(st.integers(0, len(lines)))
         merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
-        config = RunConfig(cache_enabled=cache, **merge)
+        config = RunConfig(**merge)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             _, head = run_stream(config, lines[:split], out / "head")
-            resumed = ParseDag.from_json(head.to_json(), cache_enabled=cache)
+            resumed = ParseDag.from_json(head.to_json())
             run_stream(config, lines[split:], out / "tail", dag=resumed)
             got = (out / "head" / "structured.csv").read_bytes()
             tail = (out / "tail" / "structured.csv").read_bytes()
@@ -420,10 +473,10 @@ class TestStructuredRows:
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["LineId", "OutputId", "EventTemplate"])
-        dag = ParseDag(cache_enabled=cache, **merge)
+        dag = ScanOnlyDag(**merge)
         for line_id, line in enumerate(lines, start=1):
             if line_id == split + 1:
-                dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
+                dag = ScanOnlyDag.from_json(dag.to_json())
             record = dag.parse_line(line_id, tokenize(line))
             writer.writerow([record.line_id, record.output_id, record.template_text])
         assert got == expected.getvalue().encode("utf-8")

@@ -16,6 +16,16 @@ def parse_all(dag, lines):
     return [dag.parse_line(i, line.split()) for i, line in enumerate(lines, start=1)]
 
 
+class ScanOnlyDag(ParseDag):
+    """The reference search: every length-node pointer is cleared before each
+    line, so the fast path never runs and every line takes the full scan."""
+
+    def parse_line(self, line_id, tokens):
+        for node in self.length_nodes.values():
+            node.cache = None
+        return super().parse_line(line_id, tokens)
+
+
 class TestParseLine:
     def test_first_message_creates_group(self):
         dag = ParseDag()
@@ -66,15 +76,15 @@ class TestParseLine:
 
 class TestMatchGroup:
     def test_fewest_wildcards_tie_break(self):
-        # cache off so the full search (with its tie-break) runs
-        dag = ParseDag(cache_enabled=False)
-        dag.parse_line(1, ["Send", "file", "a1"])
-        dag.parse_line(2, ["Send", "file", "b2"])   # -> Send file *
-        dag.parse_line(3, ["Send", "mail", "c3"])
-        # widen the second group so both candidates score 1.0
-        dag.groups[2].event = ["Send", WILDCARD, WILDCARD]
-        rec = dag.parse_line(5, ["Send", "file", "x9"])
-        assert rec.group_id == 1  # both score 1.0; fewer wildcards wins
+        # Two groups share the node, so the fast path leaves it to the scan.
+        for dag in (ParseDag(), ScanOnlyDag()):
+            dag.parse_line(1, ["Send", "file", "a1"])
+            dag.parse_line(2, ["Send", "file", "b2"])   # -> Send file *
+            dag.parse_line(3, ["Send", "mail", "c3"])
+            # widen the second group so both candidates score 1.0
+            dag.groups[2].event = ["Send", WILDCARD, WILDCARD]
+            rec = dag.parse_line(5, ["Send", "file", "x9"])
+            assert rec.group_id == 1  # both score 1.0; fewer wildcards wins
 
     def test_threshold_rejects_dissimilar(self):
         dag = ParseDag()
@@ -90,14 +100,39 @@ class TestMatchGroup:
         assert rec.group_id == 1
 
 
+# Tiny vocabulary: shared head words, digit-bearing end tokens (n1, n2) and
+# lengths 0-4, so lines of one length meet under several split keys.
+_TINY_MESSAGE = st.lists(st.sampled_from(["a", "b", "n1", "n2", "x.y", "c"]), max_size=4)
+
+
 class TestCache:
+    @settings(max_examples=500, deadline=None)
+    @given(messages=st.lists(_TINY_MESSAGE, max_size=12),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_fast_path_equals_full_scan(self, messages, threshold, data):
+        # None turns merging off; both parsers are saved and loaded at one random line.
+        split = data.draw(st.integers(0, len(messages)))
+        merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
+        dag, reference = ParseDag(**merge), ScanOnlyDag(**merge)
+        for line_id, tokens in enumerate(messages, start=1):
+            if line_id == split + 1:
+                dag = ParseDag.from_json(dag.to_json())
+                reference = ScanOnlyDag.from_json(reference.to_json())
+            assert dag.parse_line(line_id, tokens) == reference.parse_line(line_id, tokens)
+        assert dag.snapshot_groups() == reference.snapshot_groups()
+        assert dag.to_json() == reference.to_json()
+
     def test_cache_hit_counted(self):
+        # Line 2's ends equal group 1's literal ends, so the fast path decides
+        # it; line 3 wildcards an end, so line 4 takes the scan to the same group.
         dag = ParseDag()
-        dag.parse_line(1, ["Send", "file", "f1"])
-        dag.parse_line(2, ["Send", "file", "f2"])
-        hits_before = dag.cache_hits
-        dag.parse_line(3, ["Send", "file", "f3"])
-        assert dag.cache_hits == hits_before + 1
+        dag.parse_line(1, ["Send", "a1", "b2", "now"])
+        assert dag.parse_line(2, ["Send", "a1", "b2", "now"]).group_id == 1
+        assert dag.cache_hits == 1
+        assert dag.parse_line(3, ["Send", "a1", "b2", "later"]).group_id == 1
+        assert dag.groups[1].event == ["Send", "a1", "b2", WILDCARD]
+        assert dag.parse_line(4, ["Send", "a1", "b2", "now"]).group_id == 1
+        assert dag.cache_hits == 1
 
     def test_cache_miss_falls_back_to_search(self):
         dag = ParseDag()
@@ -110,11 +145,9 @@ class TestCache:
         rng = random.Random(7)
         templates = synth.make_templates(rng, 12)
         lines, _ = synth.make_stream(rng, templates, 800)
-        with_cache = ParseDag(cache_enabled=True)
-        without = ParseDag(cache_enabled=False)
-        a = [r.output_id for r in parse_all(with_cache, lines)]
-        b = [r.output_id for r in parse_all(without, lines)]
-        assert a == b
+        dag, reference = ParseDag(), ScanOnlyDag()
+        assert parse_all(dag, lines) == parse_all(reference, lines)
+        assert dag.cache_hits > 0
 
 
 def brute_force_merge_target(dag, group):
@@ -185,7 +218,7 @@ class TestMerge:
         # Line 3 wildcards group 2's only token, so the members share no
         # literal; the empty template is never a merge candidate.
         dag = ParseDag(merge_enabled=True, merge_threshold=0.3)
-        records = parse_all(dag, ["n1 a a", "n1", "svc", "svc a"])
+        records = parse_all(dag, ["n1 a a", "n1", "n2", "svc a"])
         assert [r.template_text for r in records] == ["n1 a a", "n1", "", "svc a"]
         assert [r.output_id for r in records] == [1, 1, 1, 3]
 
@@ -209,6 +242,18 @@ class TestMerge:
         parse_all(dag, [" ".join(m) for m in messages[:split]])
         dag = OracleCheckedDag.from_json(dag.to_json())
         parse_all(dag, [" ".join(m) for m in messages[split:]])
+
+    def test_reloaded_index_counts_the_first_member(self):
+        # Node 1's template lcs(a a a1, b a1 a b a1 a) is "a a"; line 3
+        # wildcards group 2's tail, so the template becomes "a1". The index
+        # rebuilt on load must still list a1 for node 1.
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
+        parse_all(dag, ["a a a1", "b a1 a b a1 a"])
+        assert dag.output_template(1) == ["a", "a"]
+        dag = ParseDag.from_json(dag.to_json())
+        dag.parse_line(3, ["b", "a1", "b", "a", "a", "b"])
+        assert dag.output_template(1) == ["a1"]
+        assert dag.parse_line(4, ["a1"]).output_id == 1
 
     def test_group_sharing_no_token_is_never_scored(self, monkeypatch):
         calls = []
@@ -240,15 +285,14 @@ class TestDerivedState:
     @settings(max_examples=300, deadline=None)
     @given(messages=st.lists(_HEADED_MESSAGE, max_size=40),
            threshold=st.sampled_from([None, 0.3, 0.6, 0.9, 1.0]),
-           cache=st.booleans(), data=st.data())
-    def test_cached_text_and_threshold_stay_current(self, messages, threshold, cache, data):
+           dag_class=st.sampled_from([ParseDag, ScanOnlyDag]), data=st.data())
+    def test_cached_text_and_threshold_stay_current(self, messages, threshold, dag_class, data):
         # None turns merging off; a save and load at a random line rebuilds both.
         split = data.draw(st.integers(0, len(messages)))
-        dag = ParseDag(merge_enabled=threshold is not None, merge_threshold=threshold,
-                       cache_enabled=cache)
+        dag = dag_class(merge_enabled=threshold is not None, merge_threshold=threshold)
         for line_id, tokens in enumerate(messages, start=1):
             if line_id == split + 1:
-                dag = ParseDag.from_json(dag.to_json(), cache_enabled=cache)
+                dag = dag_class.from_json(dag.to_json())
             record = dag.parse_line(line_id, tokens)
             assert record.template_text == render_template(dag.output_template(record.output_id))
             assert sim_seq(tokens, dag.groups[record.group_id].event) == 1.0

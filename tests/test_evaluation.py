@@ -1,15 +1,33 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from logsieve.evaluation import (
     PairCounts,
+    _check_universe,
     f_measure,
     load_ground_truth,
     pair_counts,
-    pair_counts_brute,
 )
+
+
+def pair_counts_brute(predicted, truth) -> PairCounts:
+    """All-pairs enumeration oracle for ``pair_counts``; quadratic, and kept
+    independent of the contingency table it checks."""
+    _check_universe(predicted, truth)
+    tp = fp = fn = 0
+    for a, b in combinations(sorted(predicted), 2):
+        same_pred = predicted[a] == predicted[b]
+        same_truth = truth[a] == truth[b]
+        if same_pred and same_truth:
+            tp += 1
+        elif same_pred:
+            fp += 1
+        elif same_truth:
+            fn += 1
+    return PairCounts(tp=tp, fp=fp, fn=fn)
 
 
 class TestPairCounts:
