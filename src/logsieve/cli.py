@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from . import synth
-from .dag import ParseDag
+from .dag import ParseDag, check_merge_settings
 from .evaluation import f_measure, load_ground_truth, pair_counts
 from .preprocess import (
     ConfigError,
@@ -77,12 +77,7 @@ class RunConfig:
     line_format: LineFormat = field(default_factory=lambda: LineFormat(["Content"]))
 
     def __post_init__(self):
-        # Checked even with merging off: a resumed run must match the saved
-        # threshold exactly, which a NaN never does.
-        if self.merge_enabled and self.merge_threshold is None:
-            raise ConfigError("merge_threshold is required when merge_enabled is true")
-        if self.merge_threshold is not None and not 0.0 < self.merge_threshold <= 1.0:
-            raise ConfigError("merge_threshold must be in (0, 1]")
+        check_merge_settings(self.merge_enabled, self.merge_threshold)
 
 
 def load_config(path) -> RunConfig:
@@ -298,6 +293,14 @@ def _open_input(path: str):
     return open(path, encoding="utf-8", errors="replace")
 
 
+def _sizes(text: str) -> list[int]:
+    """Parse ``--sizes``: comma-separated line counts."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad command line like a bad configuration: one line, exit 1."""
 
@@ -327,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="scaling benchmark")
     common(p_bench)
     p_bench.add_argument(
-        "--sizes", required=True, help="comma-separated line counts, e.g. 10000,20000,40000"
+        "--sizes", required=True, type=_sizes, help="comma-separated line counts, e.g. 10000,20000,40000"
     )
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
@@ -340,14 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else RunConfig()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "parse":
             dag = None
             if args.load_state:
@@ -370,16 +365,11 @@ def main(argv: list[str] | None = None) -> int:
             with _open_input(args.input) as fh:
                 run_eval(config, fh, args.output_dir, args.truth, dataset=args.dataset)
         elif args.command == "bench":
-            try:
-                sizes = [int(s) for s in args.sizes.split(",") if s]
-            except ValueError:
-                print(f"error: bad --sizes value {args.sizes!r}", file=sys.stderr)
-                return 1
             pool = None
             if args.input != "-":
                 with _open_input(args.input) as fh:
                     pool = [line.rstrip("\n") for line in fh if line.strip()]
-            run_bench(config, sizes, args.output_dir, pool_lines=pool, seed=args.seed,
+            run_bench(config, args.sizes, args.output_dir, pool_lines=pool, seed=args.seed,
                       n_templates=args.templates)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,8 @@ and output nodes, mutated one message at a time.
 Traversal per message: length node (token count) -> token node (split key) ->
 similarity node (candidate group list) -> output node (final template). Each
 length node also keeps its last used similarity node for an exact fast path.
+The groups are the only primary state, and ``_place`` enters a group in every
+node: a load replays each saved group through the placement a new group takes.
 
 Single-writer contract: one ParseDag is driven by one logical stream at a
 time; snapshots may be read when no writer is active.
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .preprocess import FIRST, LAST, SplitKey, select_split_token, DEFAULT_SPECIAL_CHARS
+from .preprocess import FIRST, LAST, ConfigError, SplitKey, select_split_token, DEFAULT_SPECIAL_CHARS
 from .similarity import (
     Token,
     WILDCARD,
@@ -40,6 +42,7 @@ class LogGroup:
     count: int  # messages absorbed so far
     threshold: ThresholdState | None  # None only for the empty-message group
     output_id: int
+    key: SplitKey  # the split key of the similarity node holding the group
     # Derived, never serialized: current_st(threshold), refreshed when the
     # group gains a wildcard. The empty-message group accepts every empty
     # message, so its threshold is 0.
@@ -51,7 +54,6 @@ class LogGroup:
 
 @dataclass
 class OutputNode:
-    output_id: int
     group_ids: list[int]
     # Derived, never serialized, and both cleared whenever a member gains a
     # wildcard: a merged node's template (the LCS fold of its members' live
@@ -85,10 +87,7 @@ class ParseDag:
         merge_threshold: float | None = None,
         special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS,
     ):
-        if merge_enabled and merge_threshold is None:
-            raise ValueError("merge_threshold required when merging is enabled")
-        if merge_threshold is not None and not 0.0 < merge_threshold <= 1.0:
-            raise ValueError("merge_threshold must be in (0, 1]")
+        check_merge_settings(merge_enabled, merge_threshold)
         self.merge_enabled = merge_enabled
         self.merge_threshold = merge_threshold
         self.special_chars = frozenset(special_chars)
@@ -97,7 +96,7 @@ class ParseDag:
         self.outputs: dict[int, OutputNode] = {}
         # Merge candidates: literal token -> {output ID: count}, filled only
         # when merging is on. A node's counts are those of its first member's
-        # event when it was indexed; they stay upper bounds, as a template is
+        # event when it was placed; they stay upper bounds, as a template is
         # a subsequence of that event, whose literals only shrink.
         self.merge_index: dict[str, dict[int, int]] = {}
         self.cache_hits = 0  # lines the fast path accepted
@@ -178,46 +177,37 @@ class ParseDag:
     # -- update ----------------------------------------------------------
 
     def create_group(self, tokens: list[str]) -> int:
-        """Materialize the path for an unmatched message and start a new group
-        whose template is the message itself."""
-        length_node = self.length_nodes.setdefault(len(tokens), LengthNode())
-        key = select_split_token(tokens, self.special_chars) if tokens else None
-        group_ids = length_node.split_nodes.setdefault(key, [])
-
-        # Group IDs are 1..n in creation order; a new group opens its own
-        # output node, whose ID is the group's.
+        """Start a group for an unmatched message, whose template is the
+        message itself, and place it in the graph. With merging on, it joins
+        the output node ``_try_merge`` picks, if any."""
+        # Group IDs are 1..n in creation order; a group that opens its own
+        # output node gives it its ID.
         group_id = len(self.groups) + 1
-        threshold = new_threshold_state(tokens) if tokens else None
         group = LogGroup(
             group_id=group_id,
             event=list(tokens),
             count=1,
-            threshold=threshold,
+            threshold=new_threshold_state(tokens) if tokens else None,
             output_id=group_id,
+            key=select_split_token(tokens, self.special_chars) if tokens else None,
         )
-        group_ids.append(group_id)
-        length_node.cache = group_ids
-        self.groups[group_id] = group
-        self.outputs[group_id] = OutputNode(output_id=group_id, group_ids=[group_id])
-
         if self.merge_enabled and tokens:
-            self._try_merge(group)
+            group.output_id = self._try_merge(group) or group_id
+        self.length_nodes[len(tokens)].cache = self._place(group)
         return group_id
 
     def _try_merge(self, new_group: LogGroup) -> int | None:
-        """Fuse the fresh group into the most similar existing output node if
-        template similarity strictly exceeds the merge threshold; ties go to
-        the lowest output ID. The merged node's template becomes the LCS of
-        the two templates, which is its fold with the new member last.
+        """The existing output node most similar to the fresh group, if
+        template similarity strictly exceeds the merge threshold, else None;
+        ties go to the lowest output ID.
 
         Only nodes sharing a literal with the new event are visited. The LCS
         is at most the shared literal count, so a node whose shared count
         over the shorter length does not exceed the threshold, or the best
         score so far, cannot win and is not scored, nor can an empty template."""
         event = new_group.event
-        counts = _literal_counts(event)
         shared: dict[int, int] = {}
-        for token, n in counts.items():
+        for token, n in _literal_counts(event).items():
             for output_id, m in self.merge_index.get(token, {}).items():
                 shared[output_id] = shared.get(output_id, 0) + min(n, m)
         best_id = None
@@ -230,20 +220,29 @@ class ParseDag:
             if score > best_score:
                 best_score = score
                 best_id = output_id
-        if best_id is None:
-            self._index_output(new_group.output_id, counts)
-            return None
-        target = self.outputs[best_id]
-        target.template = lcs(self.output_template(best_id), new_group.event)
-        target.text = None
-        target.group_ids.append(new_group.group_id)
-        del self.outputs[new_group.output_id]
-        new_group.output_id = best_id
         return best_id
 
-    def _index_output(self, output_id: int, counts: dict[str, int]) -> None:
-        for token, n in counts.items():
-            self.merge_index.setdefault(token, {})[output_id] = n
+    def _place(self, group: LogGroup) -> list[int]:
+        """Enter a group in the graph and return its similarity node. A group
+        whose output ID is its own opens that node and, with merging on, enters
+        its literal counts in the merge index; a group joining a node extends
+        the node's template by one LCS, the fold with the new member last."""
+        group_id, event = group.group_id, group.event
+        self.groups[group_id] = group
+        length_node = self.length_nodes.setdefault(len(event), LengthNode())
+        group_ids = length_node.split_nodes.setdefault(group.key, [])
+        group_ids.append(group_id)
+        if group.output_id == group_id:
+            self.outputs[group_id] = OutputNode([group_id])
+            if self.merge_enabled:
+                for token, n in _literal_counts(event).items():
+                    self.merge_index.setdefault(token, {})[group_id] = n
+        else:
+            node = self.outputs[group.output_id]
+            node.template = lcs(self.output_template(group.output_id), event)
+            node.text = None
+            node.group_ids.append(group_id)
+        return group_ids
 
     def update_group(self, group: LogGroup, tokens: list[str], score: float) -> int:
         """Absorb a matched message that scored ``score`` against the group:
@@ -301,15 +300,13 @@ class ParseDag:
     def to_json(self) -> str:
         """Serialize what resuming the stream needs: the settings a resumed run
         must match and one entry per group. Wildcards are JSON null."""
-        keys = {gid: key for node in self.length_nodes.values()
-                for key, ids in node.split_nodes.items() for gid in ids}
         state = {
             "schema": SNAPSHOT_SCHEMA,
             "merge_enabled": self.merge_enabled,
             "merge_threshold": self.merge_threshold,
             "special_chars": "".join(sorted(self.special_chars)),
             "groups": [
-                {"id": gid, "key": keys[gid], "event": g.event, "count": g.count,
+                {"id": gid, "key": g.key, "event": g.event, "count": g.count,
                  "output": g.output_id,
                  "threshold": None if g.threshold is None
                  else [g.threshold.st_init, g.threshold.base]}
@@ -320,26 +317,28 @@ class ParseDag:
 
     @classmethod
     def from_json(cls, text: str) -> "ParseDag":
-        """Rebuild a parser from ``to_json`` output. The length/split index, the
-        output nodes' group lists and each threshold's ``eta`` (its event's
-        wildcards) come from the groups, and the merge index from each output
-        node's first member, the group with the node's ID. Raises ValueError
-        naming the first problem of any other input."""
+        """Rebuild a parser from ``to_json`` output: check the file, then replay
+        each saved group in ID order through ``_place``, the placement a new
+        group takes. Each threshold's ``eta`` is its event's wildcard count.
+        Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
         dag = cls(state["merge_enabled"], state["merge_threshold"],
                   frozenset(state["special_chars"]))
         for entry in state["groups"]:
-            gid, event, thr, out = entry["id"], entry["event"], entry["threshold"], entry["output"]
-            key = None if entry["key"] is None else tuple(entry["key"])
+            event, thr, key = entry["event"], entry["threshold"], entry["key"]
             threshold = None if thr is None else ThresholdState(*thr, event.count(None))
-            dag.groups[gid] = LogGroup(gid, event, entry["count"], threshold, out)
-            length_node = dag.length_nodes.setdefault(len(event), LengthNode())
-            length_node.split_nodes.setdefault(key, []).append(gid)
-            dag.outputs.setdefault(out, OutputNode(out, [])).group_ids.append(gid)
-        if dag.merge_enabled:
-            for oid in dag.outputs:
-                dag._index_output(oid, _literal_counts(dag.groups[oid].event))
+            dag._place(LogGroup(entry["id"], event, entry["count"], threshold, entry["output"],
+                                None if key is None else tuple(key)))
         return dag
+
+
+def check_merge_settings(merge_enabled: bool, merge_threshold: float | None) -> None:
+    """Raise ConfigError unless the threshold is in (0, 1], or None with merging
+    off; a resumed run must match the saved threshold, which a NaN never does."""
+    if merge_enabled and merge_threshold is None:
+        raise ConfigError("merge_threshold is required when merge_enabled is true")
+    if merge_threshold is not None and not 0.0 < merge_threshold <= 1.0:
+        raise ConfigError("merge_threshold must be in (0, 1]")
 
 
 def _literal_counts(template: list[Token]) -> dict[str, int]:

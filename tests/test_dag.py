@@ -308,6 +308,66 @@ class TestDerivedState:
             assert text == render_template(dag.output_template(output_id))
 
 
+def placement(dag):
+    """The graph's indexes over the groups: {length: {split key: group IDs}}
+    and {output ID: group IDs}."""
+    return ({length: node.split_nodes for length, node in dag.length_nodes.items()},
+            {output_id: node.group_ids for output_id, node in dag.outputs.items()})
+
+
+def assert_merge_index_bounds(dag):
+    """Each literal occurs in an output node's current template at most as
+    often as the node's merge-index count says, the bound the indexed merge
+    scan prunes by."""
+    for output_id in dag.outputs:
+        template = dag.output_template(output_id)
+        for token, n in Counter(t for t in template if t is not None).items():
+            assert n <= dag.merge_index.get(token, {}).get(output_id, 0), (output_id, token)
+
+
+class TestPlacement:
+    """A load replays the saved groups through the placement a created group
+    takes, so a reloaded parser's graph is the live parser's."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(messages=st.lists(_HEADED_MESSAGE, max_size=40),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_reloaded_graph_equals_live_graph(self, messages, threshold, data):
+        # None turns merging off. Line 0 is the empty parser; one parser is
+        # saved and loaded after a random line.
+        split = data.draw(st.integers(0, len(messages)))
+        merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
+        live, reloaded = ParseDag(**merge), ParseDag(**merge)
+        for line_id, tokens in enumerate([None, *messages]):
+            if line_id:
+                live.parse_line(line_id, tokens)
+                reloaded.parse_line(line_id, tokens)
+            if line_id == split:
+                reloaded = ParseDag.from_json(reloaded.to_json())
+            assert placement(reloaded) == placement(live)
+            if threshold is not None:
+                assert_merge_index_bounds(live)
+                assert_merge_index_bounds(reloaded)
+
+    def test_merged_group_opens_no_output_node(self):
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.45)
+        parse_all(dag, ["Send file", "Send a file"])
+        assert placement(dag) == ({2: {("first", "Send"): [1]}, 3: {("first", "Send"): [2]}},
+                                  {1: [1, 2]})
+        assert dag.merge_index == {"Send": {1: 1}, "file": {1: 1}}
+        assert [g.key for g in dag.groups.values()] == [("first", "Send")] * 2
+
+    def test_reload_keeps_creation_order_in_a_similarity_node(self):
+        # Group 2 joins node 1; group 3, created later under the same key,
+        # opens node 3. A load lists 2 before 3, as creation did.
+        dag = ParseDag(merge_enabled=True, merge_threshold=0.6)
+        parse_all(dag, ["svc a", "svc b a 42 a", "svc 42", "svc a 42 open a",
+                        "svc a x1 open 42"])
+        assert placement(dag) == ({2: {("first", "svc"): [1]}, 5: {("first", "svc"): [2, 3]}},
+                                  {1: [1, 2], 3: [3]})
+        assert placement(ParseDag.from_json(dag.to_json())) == placement(dag)
+
+
 class TestSnapshotAndState:
     def test_fresh_dag_snapshot_empty(self):
         assert ParseDag().snapshot_groups() == []
