@@ -177,9 +177,8 @@ class ParseDag:
     # -- update ----------------------------------------------------------
 
     def create_group(self, tokens: list[str]) -> int:
-        """Start a group for an unmatched message, whose template is the
-        message itself, and place it in the graph. With merging on, it joins
-        the output node ``_try_merge`` picks, if any."""
+        """Start a group whose template is the unmatched message and place it,
+        with merging on in the output node ``_try_merge`` picks, if any."""
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
