@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from . import synth
-from .dag import ParseDag, check_merge_settings
+from .dag import ParseDag, check_merge_threshold
 from .evaluation import f_measure, load_ground_truth, pair_counts
 from .preprocess import (
     ConfigError,
@@ -72,21 +72,20 @@ def extract_content(fmt: LineFormat, raw_line: str) -> str:
 class RunConfig:
     preprocess_rules: list[PreprocessRule] = field(default_factory=list)
     special_chars: frozenset = DEFAULT_SPECIAL_CHARS
-    merge_enabled: bool = False
-    merge_threshold: float | None = None
+    merge_threshold: float | None = None  # None turns merging off
     line_format: LineFormat = field(default_factory=lambda: LineFormat(["Content"]))
-
-    def __post_init__(self):
-        check_merge_settings(self.merge_enabled, self.merge_threshold)
 
 
 def load_config(path) -> RunConfig:
     """Read a YAML configuration file into a RunConfig. A value of the wrong
-    type, or a file that is not YAML, raises ConfigError."""
+    type, or a file that is not YAML, raises ConfigError. ``merge_enabled:
+    false``, the default, sets no threshold; a given threshold is checked
+    either way."""
     with open(path, encoding="utf-8") as fh:
+        # The YAML composer recurses once per nesting level.
         try:
             raw = yaml.safe_load(fh) or {}
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
@@ -121,13 +120,16 @@ def load_config(path) -> RunConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown preprocess rule keys {sorted(unknown, key=str)}")
         rules.append(PreprocessRule(entry["pattern"], entry["replacement"]))
+    threshold = raw.get("merge_threshold")
+    check_merge_threshold(threshold)
+    if raw.get("merge_enabled") and threshold is None:
+        raise ConfigError("merge_threshold is required when merge_enabled is true")
     special = raw.get("special_chars")
     fmt = raw.get("line_format")
     return RunConfig(
         preprocess_rules=rules,
         special_chars=frozenset(special) if special is not None else DEFAULT_SPECIAL_CHARS,
-        merge_enabled=bool(raw.get("merge_enabled")),
-        merge_threshold=raw.get("merge_threshold"),
+        merge_threshold=threshold if raw.get("merge_enabled") else None,
         line_format=LineFormat(["Content"] if fmt is None else fmt),
     )
 
@@ -157,11 +159,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dag is None:
-        dag = ParseDag(
-            merge_enabled=config.merge_enabled,
-            merge_threshold=config.merge_threshold,
-            special_chars=config.special_chars,
-        )
+        dag = ParseDag(merge_threshold=config.merge_threshold, special_chars=config.special_chars)
     stats = RunStats()
     start = time.perf_counter()
     cache_hits_before = dag.cache_hits
@@ -294,11 +292,14 @@ def _open_input(path: str):
 
 
 def _sizes(text: str) -> list[int]:
-    """Parse ``--sizes``: comma-separated line counts."""
+    """Parse ``--sizes``: comma-separated line counts, each at least 1."""
     try:
-        return [int(s) for s in text.split(",") if s]
+        sizes = [int(s) for s in text.split(",") if s]
+        if all(size >= 1 for size in sizes):
+            return sizes
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"bad value {text!r}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -347,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             dag = None
             if args.load_state:
                 dag = ParseDag.from_json(Path(args.load_state).read_text(encoding="utf-8"))
-                differ = [name for name in ("merge_enabled", "merge_threshold", "special_chars")
+                differ = [name for name in ("merge_threshold", "special_chars")
                           if getattr(dag, name) != getattr(config, name)]
                 if differ:
                     raise ValueError(f"{args.load_state}: the saved {', '.join(differ)} "

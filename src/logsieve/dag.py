@@ -27,7 +27,7 @@ from .similarity import (
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v4"
+SNAPSHOT_SCHEMA = "logsieve-state-v5"
 
 
 def render_template(event: list[Token]) -> str:
@@ -83,13 +83,11 @@ class ParseDag:
 
     def __init__(
         self,
-        merge_enabled: bool = False,
         merge_threshold: float | None = None,
         special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS,
     ):
-        check_merge_settings(merge_enabled, merge_threshold)
-        self.merge_enabled = merge_enabled
-        self.merge_threshold = merge_threshold
+        check_merge_threshold(merge_threshold)
+        self.merge_threshold = merge_threshold  # None turns merging off
         self.special_chars = frozenset(special_chars)
         self.length_nodes: dict[int, LengthNode] = {}
         self.groups: dict[int, LogGroup] = {}
@@ -190,7 +188,7 @@ class ParseDag:
             output_id=group_id,
             key=select_split_token(tokens, self.special_chars) if tokens else None,
         )
-        if self.merge_enabled and tokens:
+        if self.merge_threshold is not None and tokens:
             group.output_id = self._try_merge(group) or group_id
         self.length_nodes[len(tokens)].cache = self._place(group)
         return group_id
@@ -233,7 +231,7 @@ class ParseDag:
         group_ids.append(group_id)
         if group.output_id == group_id:
             self.outputs[group_id] = OutputNode([group_id])
-            if self.merge_enabled:
+            if self.merge_threshold is not None:
                 for token, n in _literal_counts(event).items():
                     self.merge_index.setdefault(token, {})[group_id] = n
         else:
@@ -301,7 +299,6 @@ class ParseDag:
         must match and one entry per group. Wildcards are JSON null."""
         state = {
             "schema": SNAPSHOT_SCHEMA,
-            "merge_enabled": self.merge_enabled,
             "merge_threshold": self.merge_threshold,
             "special_chars": "".join(sorted(self.special_chars)),
             "groups": [
@@ -321,8 +318,7 @@ class ParseDag:
         group takes. Each threshold's ``eta`` is its event's wildcard count.
         Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
-        dag = cls(state["merge_enabled"], state["merge_threshold"],
-                  frozenset(state["special_chars"]))
+        dag = cls(state["merge_threshold"], frozenset(state["special_chars"]))
         for entry in state["groups"]:
             event, thr, key = entry["event"], entry["threshold"], entry["key"]
             threshold = None if thr is None else ThresholdState(*thr, event.count(None))
@@ -331,11 +327,9 @@ class ParseDag:
         return dag
 
 
-def check_merge_settings(merge_enabled: bool, merge_threshold: float | None) -> None:
-    """Raise ConfigError unless the threshold is in (0, 1], or None with merging
-    off; a resumed run must match the saved threshold, which a NaN never does."""
-    if merge_enabled and merge_threshold is None:
-        raise ConfigError("merge_threshold is required when merge_enabled is true")
+def check_merge_threshold(merge_threshold: float | None) -> None:
+    """Raise ConfigError unless the threshold is None (merging off) or in
+    (0, 1]; a resumed run must match the saved threshold, which a NaN never does."""
     if merge_threshold is not None and not 0.0 < merge_threshold <= 1.0:
         raise ConfigError("merge_threshold must be in (0, 1]")
 
@@ -350,7 +344,7 @@ def _literal_counts(template: list[Token]) -> dict[str, int]:
 
 # -- state validation ----------------------------------------------------
 
-_STATE_KEYS = ["groups", "merge_enabled", "merge_threshold", "schema", "special_chars"]
+_STATE_KEYS = ["groups", "merge_threshold", "schema", "special_chars"]
 _GROUP_KEYS = ["count", "event", "id", "key", "output", "threshold"]
 
 
@@ -369,16 +363,16 @@ def _is_event(value) -> bool:
 
 
 def _checked_state(text: str) -> dict:
-    """Parse a v4 state, checking its keys, types and cross-references."""
+    """Parse a v5 state, checking its keys, types and cross-references."""
     try:
         state = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
         raise ValueError(f"bad state file: not valid JSON ({exc})") from None
     schema = state.get("schema") if isinstance(state, dict) else None
     _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
     _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
     threshold, groups = state["merge_threshold"], state["groups"]
-    _require(type(state["merge_enabled"]) is bool and type(state["special_chars"]) is str
+    _require(type(state["special_chars"]) is str
              and (threshold is None or type(threshold) in (int, float)), "bad settings")
     _require(isinstance(groups, list), "bad groups")
     special_chars = frozenset(state["special_chars"])

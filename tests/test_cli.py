@@ -61,9 +61,17 @@ class TestConfig:
             "line_format: [Date, Content]\n"
         )
         config = load_config(cfg)
-        assert config.merge_enabled and config.merge_threshold == 0.95
+        assert config.merge_threshold == 0.95
         assert config.line_format.field_names == ["Date", "Content"]
         assert config.preprocess_rules[0].replacement == "blkID"
+
+    @pytest.mark.parametrize("text", ["merge_enabled: false\nmerge_threshold: 0.9\n",
+                                      "merge_threshold: 0.9\n", ""],
+                             ids=["off-with-threshold", "threshold-only", "empty"])
+    def test_merging_off_sets_no_threshold(self, tmp_path, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert load_config(cfg).merge_threshold is None
 
     def test_merge_without_threshold_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -114,7 +122,7 @@ class TestRunStream:
         assert dag.snapshot_groups()[0][1] == "got blkID ok"
 
     def test_group_counters_count_this_run(self, tmp_path):
-        config = RunConfig(merge_enabled=True, merge_threshold=0.45)
+        config = RunConfig(merge_threshold=0.45)
         _, dag = run_stream(config, ["Send file", "Send a file"], tmp_path / "a")
         # "Send a big file" merges into output 1 as group 3 and "Send b big
         # file" wildcards its "a", which caps its threshold (no digits: st_init
@@ -236,10 +244,12 @@ class TestMainCli:
         "line_format: []\n",
         "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: F\n    flags: i\n",
         "1: x\nmerge: y\n",
+        "[" * 100_000,
     ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
             "yaml-syntax", "enabled-string", "line-format-string", "threshold-nan-merge-off",
             "threshold-7-merge-off", "threshold-0-merge-off", "replacement-backslash",
-            "line-format-empty", "rule-unknown-key", "unknown-keys-of-mixed-types"])
+            "line-format-empty", "rule-unknown-key", "unknown-keys-of-mixed-types",
+            "nested-too-deep"])
     def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
@@ -257,9 +267,9 @@ class TestMainCli:
 
     @pytest.mark.parametrize("argv", [
         [], ["frobnicate"], ["parse", "--bogus"], ["eval"],
-        ["bench", "--sizes", "10", "--seed", "x"], ["bench"],
+        ["bench", "--sizes", "10", "--seed", "x"], ["bench"], ["bench", "--sizes=-5,0"],
     ], ids=["no-command", "unknown-command", "unknown-option", "eval-without-truth",
-            "seed-not-int", "bench-without-sizes"])
+            "seed-not-int", "bench-without-sizes", "sizes-below-one"])
     def test_bad_command_line_is_one_line_usage_error(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -314,6 +324,14 @@ V3_STATE = {
 }
 
 
+V4_STATE = {
+    "schema": "logsieve-state-v4", "merge_enabled": False, "merge_threshold": None,
+    "special_chars": "#$')*+,/<=>@^_`|~",
+    "groups": [{"id": 1, "key": ["first", "Send"], "event": ["Send", "file", None], "count": 2,
+                "output": 1, "threshold": [0.3333333333333333, 2]}],
+}
+
+
 class TestStateFiles:
     """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
 
@@ -344,11 +362,19 @@ class TestStateFiles:
 
     def test_v2_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V2_STATE))
-        assert "logsieve-state-v4" in err
+        assert "logsieve-state-v5" in err
 
     def test_v3_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V3_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v4" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v5" in err
+
+    def test_v4_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, json.dumps(V4_STATE))
+        assert err.startswith("error: bad state file:") and "logsieve-state-v5" in err
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, "[" * 100_000)
+        assert err.startswith("error: bad state file:")
 
     @pytest.mark.parametrize("key", [["first", "file"], ["last", "Send"], None],
                              ids=["other-token", "other-end", "none"])
@@ -366,16 +392,15 @@ class TestStateFiles:
                           .map(" ".join), max_size=20),
            threshold=st.sampled_from([None, 0.5, 0.9]))
     def test_state_holds_only_settings_and_groups(self, lines, threshold):
-        dag = ParseDag(merge_enabled=threshold is not None, merge_threshold=threshold)
+        dag = ParseDag(merge_threshold=threshold)
         for line_id, line in enumerate(lines, start=1):
             dag.parse_line(line_id, tokenize(line))
         state = json.loads(dag.to_json())
-        assert sorted(state) == ["groups", "merge_enabled", "merge_threshold", "schema",
-                                 "special_chars"]
+        assert sorted(state) == ["groups", "merge_threshold", "schema", "special_chars"]
         assert len(state["groups"]) == len(dag.groups)
 
     def test_state_holds_no_merged_templates_or_wildcard_counts(self):
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
+        dag = ParseDag(merge_threshold=0.5)
         for line_id, line in enumerate(["Send file f1", "Send file f2", "Send file f2 now"], 1):
             dag.parse_line(line_id, line.split())
         assert len(dag.outputs) == 1
@@ -403,7 +428,20 @@ class TestStateFiles:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("merge_enabled: true\nmerge_threshold: 0.9\n")
         err = self.resume_with(tmp_path, capsys, text, "--config", str(cfg))
-        assert "merge_enabled" in err and "merge_threshold" in err
+        assert "the saved merge_threshold must match" in err
+
+    def test_merging_off_resumes_under_an_unused_threshold(self, tmp_path):
+        # Neither run merges, so the config's threshold is not a setting.
+        self.saved_state(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("merge_enabled: false\nmerge_threshold: 0.9\n")
+        inp = tmp_path / "in2.log"
+        inp.write_text("Send file file_03\n")
+        assert main(["parse", "--config", str(cfg), "--input", str(inp),
+                     "--output-dir", str(tmp_path / "o2"),
+                     "--load-state", str(tmp_path / "state.json")]) == 0
+        rows = (tmp_path / "o2" / "structured.csv").read_text().splitlines()
+        assert rows[1:] == ["3,1,Send file *"]
 
 
 # Tiny vocabulary, shared head words and digit-bearing end tokens: many lines
@@ -423,7 +461,7 @@ class TestResume:
         # None turns merging off; the thresholds merge often to rarely, so a
         # resumed run scores against both saved and new merge candidates.
         split = data.draw(st.integers(0, len(lines)))
-        config = RunConfig(merge_enabled=threshold is not None, merge_threshold=threshold)
+        config = RunConfig(merge_threshold=threshold)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             _, head = run_stream(config, lines[:split], out / "head")
@@ -459,7 +497,7 @@ class TestStructuredRows:
         # text; the reference writes every record of the full-scan parser with
         # a plain csv writer.
         split = data.draw(st.integers(0, len(lines)))
-        merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
+        merge = dict(merge_threshold=threshold)
         config = RunConfig(**merge)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)

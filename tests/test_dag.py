@@ -112,7 +112,7 @@ class TestCache:
     def test_fast_path_equals_full_scan(self, messages, threshold, data):
         # None turns merging off; both parsers are saved and loaded at one random line.
         split = data.draw(st.integers(0, len(messages)))
-        merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
+        merge = dict(merge_threshold=threshold)
         dag, reference = ParseDag(**merge), ScanOnlyDag(**merge)
         for line_id, tokens in enumerate(messages, start=1):
             if line_id == split + 1:
@@ -182,7 +182,7 @@ _MESSAGE = st.lists(st.sampled_from(["a", "b", "c", "a1", "2"]), max_size=6)
 
 class TestMerge:
     def test_merge_similar_templates(self):
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.45)
+        dag = ParseDag(merge_threshold=0.45)
         dag.parse_line(1, ["Send", "file"])
         rec = dag.parse_line(2, ["Send", "a", "file"])
         assert rec.output_id == 1
@@ -190,13 +190,13 @@ class TestMerge:
         assert len(dag.outputs) == 1
 
     def test_mt_one_never_merges(self):
-        dag = ParseDag(merge_enabled=True, merge_threshold=1.0)
+        dag = ParseDag(merge_threshold=1.0)
         dag.parse_line(1, ["Send", "file"])
         rec = dag.parse_line(2, ["Send", "a", "file"])
         assert rec.output_id != 1
 
     def test_over_parsed_family_converges(self):
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.95)
+        dag = ParseDag(merge_threshold=0.95)
         dag.parse_line(1, ["Send", "file"])
         dag.parse_line(2, ["Send", "file", "file_01"])
         dag.parse_line(3, ["Send", "big", "file", "file_01"])
@@ -207,7 +207,7 @@ class TestMerge:
     def test_merged_template_shows_a_member_wildcard(self):
         # Line 3 wildcards group 1 after the merge; the merged template is
         # derived from the members' live events, so it drops the variable.
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.7)
+        dag = ParseDag(merge_threshold=0.7)
         records = parse_all(dag, ["send pkt alpha to host", "send pkt alpha to host now",
                                   "send pkt beta to host"])
         assert [r.output_id for r in records] == [1, 1, 1]
@@ -217,20 +217,16 @@ class TestMerge:
     def test_members_sharing_no_literal_render_empty(self):
         # Line 3 wildcards group 2's only token, so the members share no
         # literal; the empty template is never a merge candidate.
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.3)
+        dag = ParseDag(merge_threshold=0.3)
         records = parse_all(dag, ["n1 a a", "n1", "n2", "svc a"])
         assert [r.template_text for r in records] == ["n1 a a", "n1", "", "svc a"]
         assert [r.output_id for r in records] == [1, 1, 1, 3]
 
-    def test_merge_requires_threshold(self):
-        with pytest.raises(ValueError):
-            ParseDag(merge_enabled=True)
+    def test_threshold_must_be_in_range(self):
+        # A NaN is rejected too: a saved NaN could never match on resume.
         for outside in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                ParseDag(merge_enabled=True, merge_threshold=outside)
-        # Checked with merging off too: a saved NaN could never match on resume.
-        with pytest.raises(ValueError):
-            ParseDag(merge_enabled=False, merge_threshold=float("nan"))
+                ParseDag(merge_threshold=outside)
 
     @settings(max_examples=300, deadline=None)
     @given(messages=st.lists(_MESSAGE, max_size=40),
@@ -238,7 +234,7 @@ class TestMerge:
     def test_indexed_scan_picks_brute_force_target(self, messages, threshold, data):
         # A save and load at a random point checks the rebuilt index too.
         split = data.draw(st.integers(0, len(messages)))
-        dag = OracleCheckedDag(merge_enabled=True, merge_threshold=threshold)
+        dag = OracleCheckedDag(merge_threshold=threshold)
         parse_all(dag, [" ".join(m) for m in messages[:split]])
         dag = OracleCheckedDag.from_json(dag.to_json())
         parse_all(dag, [" ".join(m) for m in messages[split:]])
@@ -247,7 +243,7 @@ class TestMerge:
         # Node 1's template lcs(a a a1, b a1 a b a1 a) is "a a"; line 3
         # wildcards group 2's tail, so the template becomes "a1". The index
         # rebuilt on load must still list a1 for node 1.
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
+        dag = ParseDag(merge_threshold=0.5)
         parse_all(dag, ["a a a1", "b a1 a b a1 a"])
         assert dag.output_template(1) == ["a", "a"]
         dag = ParseDag.from_json(dag.to_json())
@@ -259,7 +255,7 @@ class TestMerge:
         calls = []
         real = logsieve.dag.tem_sim
         monkeypatch.setattr(logsieve.dag, "tem_sim", lambda a, b: calls.append(b) or real(a, b))
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.5)
+        dag = ParseDag(merge_threshold=0.5)
         dag.parse_line(1, ["Send", "file", "now"])
         dag.parse_line(2, ["open", "port", "later"])
         assert calls == [] and len(dag.outputs) == 2
@@ -289,7 +285,7 @@ class TestDerivedState:
     def test_cached_text_and_threshold_stay_current(self, messages, threshold, dag_class, data):
         # None turns merging off; a save and load at a random line rebuilds both.
         split = data.draw(st.integers(0, len(messages)))
-        dag = dag_class(merge_enabled=threshold is not None, merge_threshold=threshold)
+        dag = dag_class(merge_threshold=threshold)
         for line_id, tokens in enumerate(messages, start=1):
             if line_id == split + 1:
                 dag = dag_class.from_json(dag.to_json())
@@ -336,7 +332,7 @@ class TestPlacement:
         # None turns merging off. Line 0 is the empty parser; one parser is
         # saved and loaded after a random line.
         split = data.draw(st.integers(0, len(messages)))
-        merge = dict(merge_enabled=threshold is not None, merge_threshold=threshold)
+        merge = dict(merge_threshold=threshold)
         live, reloaded = ParseDag(**merge), ParseDag(**merge)
         for line_id, tokens in enumerate([None, *messages]):
             if line_id:
@@ -350,7 +346,7 @@ class TestPlacement:
                 assert_merge_index_bounds(reloaded)
 
     def test_merged_group_opens_no_output_node(self):
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.45)
+        dag = ParseDag(merge_threshold=0.45)
         parse_all(dag, ["Send file", "Send a file"])
         assert placement(dag) == ({2: {("first", "Send"): [1]}, 3: {("first", "Send"): [2]}},
                                   {1: [1, 2]})
@@ -360,7 +356,7 @@ class TestPlacement:
     def test_reload_keeps_creation_order_in_a_similarity_node(self):
         # Group 2 joins node 1; group 3, created later under the same key,
         # opens node 3. A load lists 2 before 3, as creation did.
-        dag = ParseDag(merge_enabled=True, merge_threshold=0.6)
+        dag = ParseDag(merge_threshold=0.6)
         parse_all(dag, ["svc a", "svc b a 42 a", "svc 42", "svc a 42 open a",
                         "svc a x1 open 42"])
         assert placement(dag) == ({2: {("first", "svc"): [1]}, 5: {("first", "svc"): [2, 3]}},
