@@ -122,14 +122,16 @@ def load_config(path) -> RunConfig:
         rules.append(PreprocessRule(entry["pattern"], entry["replacement"]))
     threshold = raw.get("merge_threshold")
     check_merge_threshold(threshold)
-    if raw.get("merge_enabled") and threshold is None:
+    if not raw.get("merge_enabled"):
+        threshold = None
+    elif threshold is None:
         raise ConfigError("merge_threshold is required when merge_enabled is true")
     special = raw.get("special_chars")
     fmt = raw.get("line_format")
     return RunConfig(
         preprocess_rules=rules,
         special_chars=frozenset(special) if special is not None else DEFAULT_SPECIAL_CHARS,
-        merge_threshold=threshold if raw.get("merge_enabled") else None,
+        merge_threshold=threshold,
         line_format=LineFormat(["Content"] if fmt is None else fmt),
     )
 

@@ -66,8 +66,8 @@ class TestConfig:
         assert config.preprocess_rules[0].replacement == "blkID"
 
     @pytest.mark.parametrize("text", ["merge_enabled: false\nmerge_threshold: 0.9\n",
-                                      "merge_threshold: 0.9\n", ""],
-                             ids=["off-with-threshold", "threshold-only", "empty"])
+                                      "merge_threshold: 0.9\n"],
+                             ids=["off-with-threshold", "threshold-only"])
     def test_merging_off_sets_no_threshold(self, tmp_path, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
@@ -497,8 +497,7 @@ class TestStructuredRows:
         # text; the reference writes every record of the full-scan parser with
         # a plain csv writer.
         split = data.draw(st.integers(0, len(lines)))
-        merge = dict(merge_threshold=threshold)
-        config = RunConfig(**merge)
+        config = RunConfig(merge_threshold=threshold)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             _, head = run_stream(config, lines[:split], out / "head")
@@ -511,7 +510,7 @@ class TestStructuredRows:
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["LineId", "OutputId", "EventTemplate"])
-        dag = ScanOnlyDag(**merge)
+        dag = ScanOnlyDag(merge_threshold=threshold)
         for line_id, line in enumerate(lines, start=1):
             if line_id == split + 1:
                 dag = ScanOnlyDag.from_json(dag.to_json())

@@ -112,8 +112,7 @@ class TestCache:
     def test_fast_path_equals_full_scan(self, messages, threshold, data):
         # None turns merging off; both parsers are saved and loaded at one random line.
         split = data.draw(st.integers(0, len(messages)))
-        merge = dict(merge_threshold=threshold)
-        dag, reference = ParseDag(**merge), ScanOnlyDag(**merge)
+        dag, reference = ParseDag(threshold), ScanOnlyDag(threshold)
         for line_id, tokens in enumerate(messages, start=1):
             if line_id == split + 1:
                 dag = ParseDag.from_json(dag.to_json())
@@ -332,8 +331,7 @@ class TestPlacement:
         # None turns merging off. Line 0 is the empty parser; one parser is
         # saved and loaded after a random line.
         split = data.draw(st.integers(0, len(messages)))
-        merge = dict(merge_threshold=threshold)
-        live, reloaded = ParseDag(**merge), ParseDag(**merge)
+        live, reloaded = ParseDag(threshold), ParseDag(threshold)
         for line_id, tokens in enumerate([None, *messages]):
             if line_id:
                 live.parse_line(line_id, tokens)
