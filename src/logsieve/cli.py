@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import random
+import reprlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -39,6 +40,10 @@ REPORT_CSV = "report.csv"
 BENCH_CSV = "bench.csv"
 # Timed runs per size in ``run_bench`` (odd, so the median is one run's time).
 BENCH_ROUNDS = 5
+# Shows a bad config value in one short line: YAML aliases let a tiny file
+# hold a value of millions of items, so nested containers show as [...].
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 1
 
 
 @dataclass
@@ -102,7 +107,7 @@ def load_config(path) -> RunConfig:
 
     def check(key, ok, expected):
         if key in raw and not ok(raw[key]):
-            raise ConfigError(f"{path}: {key} must be {expected}, not {raw[key]!r}")
+            raise ConfigError(f"{path}: {key} must be {expected}, not {_BRIEF.repr(raw[key])}")
 
     check("preprocess_rules", lambda v: v is None or isinstance(v, list), "a list")
     check("special_chars", lambda v: v is None or isinstance(v, str), "a string")
@@ -174,7 +179,9 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     parse_line = dag.parse_line
     # Output ID -> (template text, CSV encoding of "OutputId,EventTemplate\r\n").
     # The text is immutable, so the same object always encodes to the same
-    # tail; a changed template is a new object and is encoded again.
+    # tail; a changed template is a new object and is encoded again. Tokens
+    # come from str.split (a loaded state's are checked), so they hold no
+    # line break and only a comma or a quote needs the CSV writer.
     tails: dict[int, tuple[str, str]] = {}
     buf = io.StringIO()
     tail_writer = csv.writer(buf)
@@ -198,10 +205,14 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             text = record.template_text
             cached = tails.get(record.output_id)
             if cached is None or cached[0] is not text:
-                buf.seek(0)
-                buf.truncate()
-                tail_writer.writerow((record.output_id, text))
-                cached = tails[record.output_id] = (text, buf.getvalue())
+                if "," in text or '"' in text:
+                    buf.seek(0)
+                    buf.truncate()
+                    tail_writer.writerow((record.output_id, text))
+                    tail = buf.getvalue()
+                else:
+                    tail = f"{record.output_id},{text}\r\n"
+                cached = tails[record.output_id] = (text, tail)
             write(f"{line_id},{cached[1]}")
     stats.lines_parsed = line_id - first_id
     stats.cache_hits = dag.cache_hits - cache_hits_before

@@ -32,10 +32,10 @@ SNAPSHOT_SCHEMA = "logsieve-state-v5"
 
 def render_template(event: list[Token]) -> str:
     """Space-joined template text with wildcards shown as ``*``."""
-    return " ".join("*" if t is None else t for t in event)
+    return " ".join(["*" if t is None else t for t in event])
 
 
-@dataclass
+@dataclass(slots=True)
 class LogGroup:
     group_id: int
     event: list[Token]
@@ -52,17 +52,18 @@ class LogGroup:
         self.st = 0.0 if self.threshold is None else current_st(self.threshold)
 
 
-@dataclass
+@dataclass(slots=True)
 class OutputNode:
     group_ids: list[int]
     # Derived, never serialized, and both cleared whenever a member gains a
-    # wildcard: a merged node's template (the LCS fold of its members' live
-    # events) and the rendered template, each filled on first read.
-    template: list[Token] | None = field(default=None, repr=False, compare=False)
+    # wildcard: the template (a lone member's live event itself, or the LCS
+    # fold of the members' live events) and the rendered template, each
+    # filled again on first read.
+    template: list[Token] | None = field(repr=False, compare=False)
     text: str | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class LengthNode:
     # split key -> ordered group-id list (the similarity node)
     split_nodes: dict[SplitKey, list[int]] = field(default_factory=dict)
@@ -106,8 +107,6 @@ class ParseDag:
         ``lcs`` over its members' live events in group-ID order, which is
         empty once the members share no literal."""
         node = self.outputs[output_id]
-        if len(node.group_ids) == 1:
-            return self.groups[output_id].event
         if node.template is None:
             node.template = reduce(lcs, [self.groups[gid].event for gid in node.group_ids])
         return node.template
@@ -121,8 +120,9 @@ class ParseDag:
 
     # -- search ----------------------------------------------------------
 
-    def search(self, tokens: list[str]) -> tuple[int, float] | None:
-        """Find the group accepting this message and its score, or None.
+    def search(self, tokens: list[str]) -> tuple[int, float] | tuple[None, SplitKey]:
+        """Find the group accepting this message and its score; on a miss,
+        return None and the message's split key, which ``create_group`` takes.
 
         The message routes by length, then split key, to a similarity node.
         The best candidate there by similarity wins; ties go to the template
@@ -133,11 +133,12 @@ class ParseDag:
         The split key reads only the two end tokens, and a literal end of an
         event is its first message's, so a message whose ends equal a group's
         literal ends routes to that group's node. When that node holds this
-        one group, the group alone decides, as the full scan would.
+        one group, the group alone decides, as the full scan would, and on a
+        miss the message's key is that group's.
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
-            return None
+            return None, select_split_token(tokens, self.special_chars) if tokens else None
         if not tokens:
             return length_node.split_nodes[None][0], 1.0  # an empty event scores 1.0
         group_ids = length_node.cache
@@ -148,13 +149,13 @@ class ParseDag:
             if tokens[0] == event[0] and tokens[-1] == event[-1]:
                 score = sim_seq(tokens, event)
                 if score < group.st:
-                    return None
+                    return None, group.key
                 self.cache_hits += 1
                 return group.group_id, score
         key = select_split_token(tokens, self.special_chars)
         group_ids = length_node.split_nodes.get(key)
         if group_ids is None:
-            return None
+            return None, key
         groups = self.groups
         best = None
         best_score = -1.0
@@ -170,30 +171,27 @@ class ParseDag:
         if best is not None and best_score >= best.st:
             length_node.cache = group_ids
             return best.group_id, best_score
-        return None
+        return None, key
 
     # -- update ----------------------------------------------------------
 
-    def create_group(self, tokens: list[str]) -> int:
-        """Start a group whose template is the unmatched message and place it,
-        with merging on in the output node ``_try_merge`` picks, if any."""
+    def create_group(self, tokens: list[str], key: SplitKey) -> int:
+        """Start a group whose template is the unmatched message, under the
+        message's split key, and place it, with merging on in the output node
+        ``_try_merge`` picks, if any."""
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
-        group = LogGroup(
-            group_id=group_id,
-            event=list(tokens),
-            count=1,
-            threshold=new_threshold_state(tokens) if tokens else None,
-            output_id=group_id,
-            key=select_split_token(tokens, self.special_chars) if tokens else None,
-        )
+        group = LogGroup(group_id, list(tokens), 1,
+                         new_threshold_state(tokens) if tokens else None, group_id, key)
+        counts = None
         if self.merge_threshold is not None and tokens:
-            group.output_id = self._try_merge(group) or group_id
-        self.length_nodes[len(tokens)].cache = self._place(group)
+            counts = _literal_counts(tokens)
+            group.output_id = self._try_merge(group, counts) or group_id
+        self.length_nodes[len(tokens)].cache = self._place(group, counts)
         return group_id
 
-    def _try_merge(self, new_group: LogGroup) -> int | None:
+    def _try_merge(self, new_group: LogGroup, counts: dict[str, int]) -> int | None:
         """The existing output node most similar to the fresh group, if
         template similarity strictly exceeds the merge threshold, else None;
         ties go to the lowest output ID.
@@ -201,16 +199,20 @@ class ParseDag:
         Only nodes sharing a literal with the new event are visited. The LCS
         is at most the shared literal count, so a node whose shared count
         over the shorter length does not exceed the threshold, or the best
-        score so far, cannot win and is not scored, nor can an empty template."""
+        score so far, cannot win and is not scored, nor can an empty template.
+        ``counts`` are the new event's literal counts."""
         event = new_group.event
+        index = self.merge_index
         shared: dict[int, int] = {}
-        for token, n in _literal_counts(event).items():
-            for output_id, m in self.merge_index.get(token, {}).items():
-                shared[output_id] = shared.get(output_id, 0) + min(n, m)
+        for token in counts.keys() & index.keys():
+            n = counts[token]
+            for output_id, m in index[token].items():
+                shared[output_id] = shared.get(output_id, 0) + (n if n < m else m)
         best_id = None
         best_score = self.merge_threshold
+        outputs = self.outputs
         for output_id in sorted(shared):
-            template = self.output_template(output_id)
+            template = outputs[output_id].template or self.output_template(output_id)
             if not template or shared[output_id] / min(len(event), len(template)) <= best_score:
                 continue
             score = tem_sim(event, template)
@@ -219,20 +221,23 @@ class ParseDag:
                 best_id = output_id
         return best_id
 
-    def _place(self, group: LogGroup) -> list[int]:
+    def _place(self, group: LogGroup, counts: dict[str, int] | None = None) -> list[int]:
         """Enter a group in the graph and return its similarity node. A group
         whose output ID is its own opens that node and, with merging on, enters
-        its literal counts in the merge index; a group joining a node extends
-        the node's template by one LCS, the fold with the new member last."""
+        its literal counts (``counts``, if already counted) in the merge index;
+        a group joining a node extends the node's template by one LCS, the fold
+        with the new member last."""
         group_id, event = group.group_id, group.event
         self.groups[group_id] = group
-        length_node = self.length_nodes.setdefault(len(event), LengthNode())
+        length_node = self.length_nodes.get(len(event))
+        if length_node is None:
+            length_node = self.length_nodes[len(event)] = LengthNode()
         group_ids = length_node.split_nodes.setdefault(group.key, [])
         group_ids.append(group_id)
         if group.output_id == group_id:
-            self.outputs[group_id] = OutputNode([group_id])
-            if self.merge_threshold is not None:
-                for token, n in _literal_counts(event).items():
+            self.outputs[group_id] = OutputNode([group_id], event)
+            if self.merge_threshold is not None and event:
+                for token, n in (counts or _literal_counts(event)).items():
                     self.merge_index.setdefault(token, {})[group_id] = n
         else:
             node = self.outputs[group.output_id]
@@ -264,14 +269,13 @@ class ParseDag:
 
     def parse_line(self, line_id: int, tokens: list[str]) -> StructuredRecord:
         """Match or create a group for one preprocessed, tokenized message."""
-        found = self.search(tokens)
-        if found is None:
-            group_id = self.create_group(tokens)
+        group_id, found = self.search(tokens)
+        if group_id is None:  # ``found`` is the message's split key
+            group_id = self.create_group(tokens, found)
             group = self.groups[group_id]
-        else:
-            group_id, score = found
+        else:  # ``found`` is the score
             group = self.groups[group_id]
-            self.update_group(group, tokens, score)
+            self.update_group(group, tokens, found)
         output_id = group.output_id
         text = self.outputs[output_id].text
         if text is None:
@@ -359,7 +363,9 @@ def _is_list(value, *types) -> bool:
 
 
 def _is_event(value) -> bool:
-    return isinstance(value, list) and all(t is None or type(t) is str for t in value)
+    # Tokens as str.split gives them: the structured CSV quotes only , and ".
+    return isinstance(value, list) and all(t is None or type(t) is str and t.split() == [t]
+                                           for t in value)
 
 
 def _checked_state(text: str) -> dict:

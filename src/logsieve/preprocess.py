@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 # User-configurable; stored as an explicit constant for bit-stable behavior.
 DEFAULT_SPECIAL_CHARS = frozenset("#^$'*+,/<=>@_`)|~")
 
-_DIGITS = frozenset("0123456789")
+DIGITS = frozenset("0123456789")
 
 # The parser ``re`` itself uses (``sre_parse`` before 3.11, where importing it
 # by that name is deprecated); ``re`` has already imported it.
@@ -110,7 +110,7 @@ def tokenize(content: str) -> list[str]:
 
 def has_digit(token: str) -> bool:
     """True iff the token contains an ASCII decimal digit."""
-    return not _DIGITS.isdisjoint(token)
+    return not DIGITS.isdisjoint(token)
 
 
 def has_special(token: str, special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS) -> bool:
@@ -132,11 +132,11 @@ def select_split_token(
     # has_digit and has_special, inlined: this runs on most lines.
     first = tokens[0]
     last = tokens[-1]
-    if not _DIGITS.isdisjoint(first):
-        if not _DIGITS.isdisjoint(last):
+    if not DIGITS.isdisjoint(first):
+        if not DIGITS.isdisjoint(last):
             return None
         return (LAST, last)
-    if not _DIGITS.isdisjoint(last):
+    if not DIGITS.isdisjoint(last):
         return (FIRST, first)
     if not special_chars.isdisjoint(first):
         if not special_chars.isdisjoint(last):

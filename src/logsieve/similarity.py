@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from operator import eq
 
-from .preprocess import has_digit
+from .preprocess import DIGITS
 
 # Template token: a literal string, or None for a wildcard position.
 Token = str | None
@@ -39,7 +39,7 @@ def sim_seq(message: list[str], event: list[Token]) -> float:
     return sum(map(eq, message, event)) / n_c
 
 
-@dataclass
+@dataclass(slots=True)
 class ThresholdState:
     """Per-group adaptive acceptance threshold.
 
@@ -59,10 +59,8 @@ def new_threshold_state(tokens: list[str]) -> ThresholdState:
     digit-bearing tokens are presumed variables and discounted.
     """
     seq_len = len(tokens)
-    dig_len = sum(1 for t in tokens if has_digit(t))
-    st_init = 0.5 * (seq_len - dig_len) / seq_len
-    base = max(2, dig_len + 1)
-    return ThresholdState(st_init=st_init, base=base, eta=0)
+    plain = sum(map(DIGITS.isdisjoint, tokens))  # tokens without a digit
+    return ThresholdState(st_init=0.5 * plain / seq_len, base=max(2, seq_len - plain + 1), eta=0)
 
 
 def current_st(state: ThresholdState) -> float:
@@ -92,24 +90,40 @@ def _columns(a: list, b: list) -> list[int]:
     return cols
 
 
+def _trim(a: list, b: list) -> tuple[int, int]:
+    """The common prefix length of ``a`` and ``b`` and the common suffix length
+    of what follows: some LCS keeps both ends whole (the diff trim, Myers 1986)."""
+    n = min(len(a), len(b))
+    p = s = 0
+    while p < n and a[p] == b[p]:
+        p += 1
+    while s < n - p and a[-1 - s] == b[-1 - s]:
+        s += 1
+    return p, s
+
+
 def lcs(a: list, b: list) -> list:
     """Longest common subsequence over exact element equality.
 
     A walk back over ``_columns``, with ties broken deterministically so
     merged templates are reproducible run-to-run: equal elements are kept;
     otherwise the walk drops from ``a`` when that keeps the LCS at least as
-    long as dropping from ``b``.
+    long as dropping from ``b``. The walk keeps equal end elements first,
+    and each length it compares is the common prefix's plus the middles',
+    so trimming the common ends first leaves its result as it was.
     """
-    cols = _columns(a, b)
+    p, s = _trim(a, b)
+    mid_a, mid_b = a[p:len(a) - s], b[p:len(b) - s]
+    cols = _columns(mid_a, mid_b)
 
-    def length(i: int, j: int) -> int:  # LCS length of a[:i] and b[:j]
+    def length(i: int, j: int) -> int:  # LCS length of mid_a[:i] and mid_b[:j]
         return i - (cols[j] & ((1 << i) - 1)).bit_count()
 
     out = []
-    i, j = len(a), len(b)
+    i, j = len(mid_a), len(mid_b)
     while i and j:
-        if a[i - 1] == b[j - 1]:
-            out.append(a[i - 1])
+        if mid_a[i - 1] == mid_b[j - 1]:
+            out.append(mid_a[i - 1])
             i -= 1
             j -= 1
         elif length(i - 1, j) >= length(i, j - 1):
@@ -117,12 +131,13 @@ def lcs(a: list, b: list) -> list:
         else:
             j -= 1
     out.reverse()
-    return out
+    return a[:p] + out + a[len(a) - s:]
 
 
 def lcs_len(a: list, b: list) -> int:
     """Length of the longest common subsequence, by the same ``==`` as ``lcs``."""
-    return len(a) - _columns(a, b)[-1].bit_count()
+    p, s = _trim(a, b)
+    return len(a) - _columns(a[p:len(a) - s], b[p:len(b) - s])[-1].bit_count()
 
 
 def tem_sim(new_event: list[Token], exist_event: list[Token]) -> float:

@@ -261,6 +261,20 @@ class TestMainCli:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_alias_bomb_error_line_stays_short(self, tmp_path, capsys):
+        # Each alias level repeats the one below ten times: a 218-byte file
+        # whose line_format holds 11,110 strings, nested up to four lists deep.
+        levels = ["&a0 [" + ", ".join(["x"] * 10) + "]"]
+        levels += [f"&a{k} [" + ", ".join([f"*a{k - 1}"] * 10) + "]" for k in range(1, 4)]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("line_format: [" + ", ".join(levels) + "]\n")
+        assert cfg.stat().st_size == 218
+        code = main(["parse", "--config", str(cfg), "--input", "-"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.encode("utf-8")) < 1024
+
     def test_bad_sizes_is_usage_error(self, tmp_path):
         code = main(["bench", "--sizes", "12,potato", "--output-dir", str(tmp_path)])
         assert code == 1
@@ -423,6 +437,14 @@ class TestStateFiles:
         err = self.resume_with(tmp_path, capsys, json.dumps(state))
         assert "count" in err
 
+    @pytest.mark.parametrize("token", ["", "a b", "a\nb", "a\r"])
+    def test_token_that_str_split_never_gives(self, tmp_path, capsys, token):
+        # The structured CSV writes a text without a comma or a quote as is.
+        state = json.loads(self.saved_state(tmp_path))
+        state["groups"][0]["event"][1] = token
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert "bad count or event" in err
+
     def test_settings_differ_from_config(self, tmp_path, capsys):
         text = self.saved_state(tmp_path)
         cfg = tmp_path / "cfg.yaml"
@@ -517,3 +539,26 @@ class TestStructuredRows:
             record = dag.parse_line(line_id, tokenize(line))
             writer.writerow([record.line_id, record.output_id, record.template_text])
         assert got == expected.getvalue().encode("utf-8")
+
+
+# Template texts with the characters CSV quotes (a comma, a quote), a
+# wildcard-like literal, an apostrophe and non-ASCII letters, alone and mixed.
+_CSV_TOKEN = st.sampled_from(["a", "b1", ",", '"', "*", "'", "a,b", 'say"hi"', "é", "日本", "€,", "'x'"])
+
+
+class TestStructuredRowEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.lists(_CSV_TOKEN, min_size=1, max_size=4).map(" ".join), max_size=20),
+           threshold=st.sampled_from([None, 0.5]))
+    def test_each_row_is_what_csv_writer_writes(self, lines, threshold):
+        config = RunConfig(merge_threshold=threshold)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_stream(config, lines, tmp)
+            rows = (Path(tmp) / "structured.csv").read_bytes().split(b"\r\n")
+        dag = ParseDag(merge_threshold=threshold)
+        assert len(rows) == len(lines) + 2 and rows[-1] == b""
+        for line_id, (line, row) in enumerate(zip(lines, rows[1:]), start=1):
+            record = dag.parse_line(line_id, tokenize(line))
+            expected = io.StringIO()
+            csv.writer(expected).writerow((record.line_id, record.output_id, record.template_text))
+            assert row + b"\r\n" == expected.getvalue().encode("utf-8")

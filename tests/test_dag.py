@@ -167,9 +167,9 @@ def brute_force_merge_target(dag, group):
 class OracleCheckedDag(ParseDag):
     """A ParseDag that checks every merge decision against the brute-force scan."""
 
-    def _try_merge(self, new_group):
+    def _try_merge(self, new_group, counts):
         expected = brute_force_merge_target(self, new_group)
-        got = super()._try_merge(new_group)
+        got = super()._try_merge(new_group, counts)
         assert got == expected
         return got
 
@@ -249,6 +249,20 @@ class TestMerge:
         dag.parse_line(3, ["b", "a1", "b", "a", "a", "b"])
         assert dag.output_template(1) == ["a1"]
         assert dag.parse_line(4, ["a1"]).output_id == 1
+
+    def test_literals_counted_once_per_created_group(self, monkeypatch):
+        # Groups 1, 2 and 4 open their own nodes and group 3 merges into 1;
+        # the empty message's group has no literals to count.
+        calls = []
+        real = logsieve.dag._literal_counts
+        monkeypatch.setattr(logsieve.dag, "_literal_counts",
+                            lambda event: calls.append(list(event)) or real(event))
+        dag = ParseDag(merge_threshold=0.6)
+        records = parse_all(dag, ["send pkt to host", "open port now", "send pkt to host now",
+                                  "", "send pkt to host"])
+        assert [r.output_id for r in records] == [1, 2, 1, 4, 1]
+        assert calls == [["send", "pkt", "to", "host"], ["open", "port", "now"],
+                         ["send", "pkt", "to", "host", "now"]]
 
     def test_group_sharing_no_token_is_never_scored(self, monkeypatch):
         calls = []

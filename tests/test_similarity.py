@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logsieve.similarity import (
     ThresholdState,
@@ -205,6 +205,26 @@ class TestLcs:
         assert len(lcs(a, b)) == len(lcs(b, a))
         assert len(lcs(a, b)) <= min(len(a), len(b))
         assert lcs(a, a) == a
+
+
+# Pairs p + x + s and p + y + s: long shared ends around short middles, as
+# merge candidates have, so the trimmed ends and the core both do work.
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=3)
+_ENDS = st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=10)
+
+
+class TestTrimmedLcs:
+    @settings(max_examples=500)
+    @given(_ENDS, _TOKENS, _TOKENS, _ENDS)
+    @example(["a", "b"], [], [], ["c"])  # a == b
+    @example(["a", WILDCARD], [], ["b", "a"], [])  # a is a prefix of b
+    @example([], ["a", "b"], [], ["b", WILDCARD])  # b is a suffix of a
+    @example(["a", "a"], ["a"], [], ["a"])  # the ends overlap in one list
+    def test_equals_dp_backtrace(self, p, x, y, s):
+        a, b = p + x + s, p + y + s
+        assert lcs(a, b) == dp_lcs(a, b)
+        assert lcs(b, a) == dp_lcs(b, a)
+        assert lcs_len(a, b) == lcs_len(b, a) == len(dp_lcs(a, b))
 
 
 class TestLcsLen:
