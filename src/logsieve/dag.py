@@ -182,8 +182,9 @@ class ParseDag:
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
-        group = LogGroup(group_id, list(tokens), 1,
-                         new_threshold_state(tokens) if tokens else None, group_id, key)
+        group = LogGroup(group_id=group_id, event=list(tokens), count=1,
+                         threshold=new_threshold_state(tokens) if tokens else None,
+                         output_id=group_id, key=key)
         counts = None
         if self.merge_threshold is not None and tokens:
             counts = _literal_counts(tokens)
