@@ -27,7 +27,7 @@ from .similarity import (
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v5"
+SNAPSHOT_SCHEMA = "logsieve-state-v6"
 
 
 def render_template(event: list[Token]) -> str:
@@ -40,16 +40,15 @@ class LogGroup:
     group_id: int
     event: list[Token]
     count: int  # messages absorbed so far
-    threshold: ThresholdState | None  # None only for the empty-message group
+    threshold: ThresholdState
     output_id: int
     key: SplitKey  # the split key of the similarity node holding the group
     # Derived, never serialized: current_st(threshold), refreshed when the
-    # group gains a wildcard. The empty-message group accepts every empty
-    # message, so its threshold is 0.
+    # group gains a wildcard.
     st: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.st = 0.0 if self.threshold is None else current_st(self.threshold)
+        self.st = current_st(self.threshold)
 
 
 @dataclass(slots=True)
@@ -120,14 +119,15 @@ class ParseDag:
 
     # -- search ----------------------------------------------------------
 
-    def search(self, tokens: list[str]) -> tuple[int, float] | tuple[None, SplitKey]:
+    def search(self, tokens: list[str]) -> tuple[LogGroup, float] | tuple[None, SplitKey]:
         """Find the group accepting this message and its score; on a miss,
         return None and the message's split key, which ``create_group`` takes.
 
         The message routes by length, then split key, to a similarity node.
-        The best candidate there by similarity wins; ties go to the template
-        with the fewest wildcards, then earliest creation. It is accepted
-        only if the score reaches the candidate's own threshold.
+        The best candidate there that accepts the message (the score reaches
+        the candidate's own threshold) wins; ties go to the template with the
+        fewest wildcards, then earliest creation. The paper tests only the
+        best candidate, whose cap can turn away what a younger group accepts.
 
         Fast path: the length node keeps the similarity node it last used.
         The split key reads only the two end tokens, and a literal end of an
@@ -140,7 +140,7 @@ class ParseDag:
         if length_node is None:
             return None, select_split_token(tokens, self.special_chars) if tokens else None
         if not tokens:
-            return length_node.split_nodes[None][0], 1.0  # an empty event scores 1.0
+            return self.groups[length_node.split_nodes[None][0]], 1.0  # an empty event scores 1.0
         group_ids = length_node.cache
         if group_ids is not None and len(group_ids) == 1:
             group = self.groups[group_ids[0]]
@@ -151,7 +151,7 @@ class ParseDag:
                 if score < group.st:
                     return None, group.key
                 self.cache_hits += 1
-                return group.group_id, score
+                return group, score
         key = select_split_token(tokens, self.special_chars)
         group_ids = length_node.split_nodes.get(key)
         if group_ids is None:
@@ -163,34 +163,32 @@ class ParseDag:
             group = groups[gid]
             score = sim_seq(tokens, group.event)
             # A score is never below 0, so ``best`` is set before any tie.
-            if score > best_score or (
-                score == best_score and group.event.count(None) < best.event.count(None)
-            ):
+            if score >= group.st and (score > best_score or score == best_score
+                                      and group.event.count(None) < best.event.count(None)):
                 best = group
                 best_score = score
-        if best is not None and best_score >= best.st:
+        if best is not None:
             length_node.cache = group_ids
-            return best.group_id, best_score
+            return best, best_score
         return None, key
 
     # -- update ----------------------------------------------------------
 
-    def create_group(self, tokens: list[str], key: SplitKey) -> int:
+    def create_group(self, tokens: list[str], key: SplitKey) -> LogGroup:
         """Start a group whose template is the unmatched message, under the
         message's split key, and place it, with merging on in the output node
         ``_try_merge`` picks, if any."""
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
-        group = LogGroup(group_id=group_id, event=list(tokens), count=1,
-                         threshold=new_threshold_state(tokens) if tokens else None,
-                         output_id=group_id, key=key)
+        group = LogGroup(group_id=group_id, event=list(tokens), count=1, key=key,
+                         threshold=new_threshold_state(tokens), output_id=group_id)
         counts = None
         if self.merge_threshold is not None and tokens:
             counts = _literal_counts(tokens)
             group.output_id = self._try_merge(group, counts) or group_id
         self.length_nodes[len(tokens)].cache = self._place(group, counts)
-        return group_id
+        return group
 
     def _try_merge(self, new_group: LogGroup, counts: dict[str, int]) -> int | None:
         """The existing output node most similar to the fresh group, if
@@ -261,7 +259,7 @@ class ParseDag:
             if event[i] is not None and event[i] != token:
                 event[i] = WILDCARD
                 replaced += 1
-        if replaced and group.threshold is not None:
+        if replaced:
             group.threshold.eta += replaced
             group.st = current_st(group.threshold)
             node = self.outputs[group.output_id]
@@ -270,18 +268,16 @@ class ParseDag:
 
     def parse_line(self, line_id: int, tokens: list[str]) -> StructuredRecord:
         """Match or create a group for one preprocessed, tokenized message."""
-        group_id, found = self.search(tokens)
-        if group_id is None:  # ``found`` is the message's split key
-            group_id = self.create_group(tokens, found)
-            group = self.groups[group_id]
+        group, found = self.search(tokens)
+        if group is None:  # ``found`` is the message's split key
+            group = self.create_group(tokens, found)
         else:  # ``found`` is the score
-            group = self.groups[group_id]
             self.update_group(group, tokens, found)
         output_id = group.output_id
         text = self.outputs[output_id].text
         if text is None:
             text = self.output_text(output_id)
-        return StructuredRecord(line_id, group_id, output_id, text)
+        return StructuredRecord(line_id, group.group_id, output_id, text)
 
     # -- reporting -------------------------------------------------------
 
@@ -301,17 +297,16 @@ class ParseDag:
 
     def to_json(self) -> str:
         """Serialize what resuming the stream needs: the settings a resumed run
-        must match and one entry per group. Wildcards are JSON null."""
+        must match and one entry per group, a group's ID being its position.
+        Wildcards are JSON null."""
         state = {
             "schema": SNAPSHOT_SCHEMA,
             "merge_threshold": self.merge_threshold,
             "special_chars": "".join(sorted(self.special_chars)),
             "groups": [
-                {"id": gid, "key": g.key, "event": g.event, "count": g.count,
-                 "output": g.output_id,
-                 "threshold": None if g.threshold is None
-                 else [g.threshold.st_init, g.threshold.base]}
-                for gid, g in sorted(self.groups.items())
+                {"key": g.key, "event": g.event, "count": g.count, "output": g.output_id,
+                 "threshold": [g.threshold.st_init, g.threshold.base]}
+                for g in self.groups.values()  # entered in ID order
             ],
         }
         return json.dumps(state, sort_keys=True)
@@ -324,10 +319,10 @@ class ParseDag:
         Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
         dag = cls(state["merge_threshold"], frozenset(state["special_chars"]))
-        for entry in state["groups"]:
-            event, thr, key = entry["event"], entry["threshold"], entry["key"]
-            threshold = None if thr is None else ThresholdState(*thr, event.count(None))
-            dag._place(LogGroup(entry["id"], event, entry["count"], threshold, entry["output"],
+        for group_id, entry in enumerate(state["groups"], start=1):
+            event, key = entry["event"], entry["key"]
+            threshold = ThresholdState(*entry["threshold"], event.count(None))
+            dag._place(LogGroup(group_id, event, entry["count"], threshold, entry["output"],
                                 None if key is None else tuple(key)))
         return dag
 
@@ -350,7 +345,7 @@ def _literal_counts(template: list[Token]) -> dict[str, int]:
 # -- state validation ----------------------------------------------------
 
 _STATE_KEYS = ["groups", "merge_threshold", "schema", "special_chars"]
-_GROUP_KEYS = ["count", "event", "id", "key", "output", "threshold"]
+_GROUP_KEYS = ["count", "event", "key", "output", "threshold"]
 
 
 def _require(ok: bool, problem: str) -> None:
@@ -370,7 +365,7 @@ def _is_event(value) -> bool:
 
 
 def _checked_state(text: str) -> dict:
-    """Parse a v5 state, checking its keys, types and cross-references."""
+    """Parse a v6 state, checking its keys, types and cross-references."""
     try:
         state = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
@@ -378,16 +373,15 @@ def _checked_state(text: str) -> dict:
     schema = state.get("schema") if isinstance(state, dict) else None
     _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
     _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
-    threshold, groups = state["merge_threshold"], state["groups"]
+    merge_threshold, groups = state["merge_threshold"], state["groups"]
     _require(type(state["special_chars"]) is str
-             and (threshold is None or type(threshold) in (int, float)), "bad settings")
+             and (merge_threshold is None or type(merge_threshold) in (int, float)), "bad settings")
     _require(isinstance(groups, list), "bad groups")
     special_chars = frozenset(state["special_chars"])
     for gid, group in enumerate(groups, start=1):
         _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
                  f"group {gid}: the keys must be {_GROUP_KEYS}")
         key, event, thr, out = group["key"], group["event"], group["threshold"], group["output"]
-        _require(type(group["id"]) is int and group["id"] == gid, f"group {gid}: IDs must run 1..n")
         _require(type(group["count"]) is int and group["count"] > 0 and _is_event(event),
                  f"group {gid}: bad count or event")
         _require(key is None or _is_list(key, str, str) and key[0] in (FIRST, LAST),
@@ -397,8 +391,9 @@ def _checked_state(text: str) -> dict:
             expected = select_split_token(event, special_chars) if event else None
             _require(key == (expected and list(expected)),
                      f"group {gid}: split key {key!r} is not the one its ends give")
-        _require(thr is None if not event else _is_list(thr, float, int) and thr[1] >= 2,
-                 f"group {gid}: bad threshold")
+        # The bounds new_threshold_state gives; a NaN fails the comparison.
+        _require(_is_list(thr, float, int) and 0.0 <= thr[0] <= 0.5
+                 and 2 <= thr[1] <= max(2, len(event) + 1), f"group {gid}: bad threshold")
         _require(out == gid or type(out) is int and 0 < out < gid
                  and groups[out - 1]["output"] == out, f"group {gid}: bad output {out!r}")
     return state

@@ -56,11 +56,12 @@ def new_threshold_state(tokens: list[str]) -> ThresholdState:
     """Initialize threshold state from a new group's first (all-literal) message.
 
     The initial threshold estimates the constant ratio of the template:
-    digit-bearing tokens are presumed variables and discounted.
+    digit-bearing tokens are presumed variables and discounted, and the empty
+    message's 0/0 counts as 0, so its group accepts every empty message.
     """
     seq_len = len(tokens)
     plain = sum(map(DIGITS.isdisjoint, tokens))  # tokens without a digit
-    return ThresholdState(st_init=0.5 * plain / seq_len, base=max(2, seq_len - plain + 1), eta=0)
+    return ThresholdState(st_init=0.5 * plain / (seq_len or 1), base=max(2, seq_len - plain + 1), eta=0)
 
 
 def current_st(state: ThresholdState) -> float:

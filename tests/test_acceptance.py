@@ -9,8 +9,9 @@ from collections import Counter
 
 import pytest
 
+import logsieve.dag
 from logsieve import synth
-from logsieve.cli import RunConfig, run_bench
+from logsieve.cli import RunConfig, run_bench, run_stream
 from logsieve.dag import ParseDag, render_template
 from logsieve.evaluation import f_measure, pair_counts
 from logsieve.preprocess import FIRST, LAST, select_split_token
@@ -171,6 +172,34 @@ def test_criterion_7_linear_scaling(tmp_path):
     assert rate >= 50_000, f"throughput {rate:.0f} lines/s below 50k"
     assert elapsed < 120.0
     _ok(f"criterion 7: linear scaling, {rate:.0f} lines/s at 160k lines ({elapsed:.1f}s)")
+
+
+def test_criterion_7_scan_work_flat(tmp_path, monkeypatch):
+    # Criterion 7's wall-time ratios drift with the machine; similarity
+    # scores per line do not. Same pool and samples as run_bench's.
+    sizes = [10_000, 20_000, 40_000, 80_000, 160_000]
+    rng = random.Random(0)
+    templates = synth.make_templates(rng, 40)
+    pool, _ = synth.make_stream(rng, templates, 10_000)
+    samples = {size: rng.choices(pool, k=size) for size in sizes}
+    calls = 0
+    real = logsieve.dag.sim_seq
+
+    def counting_sim_seq(message, event):
+        nonlocal calls
+        calls += 1
+        return real(message, event)
+
+    monkeypatch.setattr(logsieve.dag, "sim_seq", counting_sim_seq)
+    per_line, groups = {}, {}
+    for size in (sizes[0], sizes[-1]):
+        calls = 0
+        _, dag = run_stream(RunConfig(), samples[size], tmp_path / f"run_{size}")
+        per_line[size], groups[size] = calls / size, len(dag.groups)
+    assert groups[sizes[-1]] == groups[sizes[0]]
+    assert per_line[sizes[-1]] <= 1.05 * per_line[sizes[0]], per_line
+    _ok(f"criterion 7: {per_line[sizes[0]]:.4f} and {per_line[sizes[-1]]:.4f} sim_seq calls "
+        f"per line at 10k and 160k lines, {groups[sizes[-1]]} groups")
 
 
 def test_criterion_8_invariant_suite():

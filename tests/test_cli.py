@@ -346,6 +346,14 @@ V4_STATE = {
 }
 
 
+V5_STATE = {
+    "schema": "logsieve-state-v5", "merge_threshold": None,
+    "special_chars": "#$')*+,/<=>@^_`|~",
+    "groups": [{"id": 1, "key": ["first", "Send"], "event": ["Send", "file", None], "count": 2,
+                "output": 1, "threshold": [0.3333333333333333, 2]}],
+}
+
+
 class TestStateFiles:
     """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
 
@@ -376,15 +384,31 @@ class TestStateFiles:
 
     def test_v2_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V2_STATE))
-        assert "logsieve-state-v5" in err
+        assert "logsieve-state-v6" in err
 
     def test_v3_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V3_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v5" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v6" in err
 
     def test_v4_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V4_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v5" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v6" in err
+
+    def test_v5_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, json.dumps(V5_STATE))
+        assert err.startswith("error: bad state file:") and "logsieve-state-v6" in err
+
+    @pytest.mark.parametrize("threshold", [[-5.0, 2], [float("nan"), 2], [float("inf"), 2],
+                                           [0.75, 2], [0.25, 999999]],
+                             ids=["negative", "nan", "inf", "above-half", "huge-base"])
+    def test_threshold_the_formula_cannot_give(self, tmp_path, capsys, threshold):
+        # new_threshold_state gives 0 <= st_init <= 0.5 and 2 <= base <= the
+        # event's length + 1. A negative st_init would accept "Send x y" as
+        # "Send * *", and a NaN would be written back as non-standard JSON.
+        state = json.loads(self.saved_state(tmp_path))
+        state["groups"][0]["threshold"] = threshold
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert err == "error: bad state file: group 1: bad threshold\n"
 
     def test_deeply_nested_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, "[" * 100_000)

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from functools import reduce
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
 from logsieve.dag import ParseDag, render_template
+from logsieve.preprocess import select_split_token
 from logsieve.similarity import WILDCARD, current_st, sim_seq
 from logsieve import synth
 from test_similarity import dp_lcs
@@ -98,6 +100,83 @@ class TestMatchGroup:
         dag.parse_line(1, ["a", "b", "c"])
         rec = dag.parse_line(2, ["a", "b", "c"])
         assert rec.group_id == 1
+
+    def test_capped_best_candidate_leaves_the_line_to_one_that_accepts(self):
+        # No token holds a digit, so one wildcard caps group 1 at st 1.0. Line
+        # 4 scores 2/3 against it, below its st, and 2/4 against group 2, at
+        # its st 0.5: group 2 takes the line and no group is created.
+        dag = ParseDag()
+        records = parse_all(dag, ["svc a a a", "svc b a a", "svc a b b"])
+        assert [r.group_id for r in records] == [1, 1, 2]
+        assert dag.groups[1].st == 1.0 and dag.groups[2].st == 0.5
+        assert dag.parse_line(4, ["svc", "c", "a", "b"]).group_id == 2
+        assert len(dag.groups) == 2
+
+
+# Digit-free tokens after one head word: lines of a length meet under one
+# split key, every group starts at st 0.5 with base 2, and one wildcard caps it
+# at 1.0, so capped and uncapped groups share similarity nodes.
+_PLAIN_MESSAGE = st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=3).map(
+    lambda rest: ["svc", *rest])
+
+
+def brute_force_search(dag, tokens):
+    """The group a full scan of the message's similarity node must pick: of
+    the groups whose score reaches their own threshold, the highest score,
+    then the fewest wildcards, then the earliest; None when none accepts."""
+    node = dag.length_nodes.get(len(tokens))
+    group_ids = node.split_nodes.get(select_split_token(tokens), []) if node else []
+    accepting = []
+    for gid in group_ids:
+        group = dag.groups[gid]
+        score = sim_seq(tokens, group.event)
+        if score >= group.st:
+            accepting.append((-score, group.event.count(None), gid))
+    return min(accepting)[2] if accepting else None
+
+
+class TestAcceptAwareSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(messages=st.lists(_PLAIN_MESSAGE, max_size=40),
+           dag_class=st.sampled_from([ParseDag, ScanOnlyDag]))
+    def test_no_group_created_while_one_accepts(self, messages, dag_class):
+        dag = dag_class()
+        for line_id, tokens in enumerate(messages, start=1):
+            expected = brute_force_search(dag, tokens)
+            n_groups = len(dag.groups)
+            record = dag.parse_line(line_id, tokens)
+            if expected is None:
+                assert record.group_id == n_groups + 1
+            else:
+                assert record.group_id == expected and len(dag.groups) == n_groups
+
+    def test_groups_plateau_when_variables_hold_no_digit(self, monkeypatch):
+        # Four templates: "service", six slots, "tail" + a letter. A slot is
+        # variable with p 0.4, its value one of the eight words a fixed slot
+        # draws from, so a group's first line often leaves a variable slot
+        # literal, and a group capped at st 1.0 then rejects most lines.
+        words = [f"w{c}" for c in "abcdefgh"]
+        rng = random.Random(2)
+        templates = [["service", *[None if rng.random() < 0.4 else rng.choice(words)
+                                   for _ in range(6)], f"tail{letter}"] for letter in "abcd"]
+        calls = 0
+        real = logsieve.dag.sim_seq
+
+        def counting_sim_seq(message, event):
+            nonlocal calls
+            calls += 1
+            return real(message, event)
+
+        monkeypatch.setattr(logsieve.dag, "sim_seq", counting_sim_seq)
+        dag = ParseDag()
+        seen = {}  # lines -> (groups, sim_seq calls per line)
+        for line_id in range(1, 8001):
+            template = rng.choice(templates)
+            dag.parse_line(line_id, [rng.choice(words) if t is None else t for t in template])
+            if line_id in (4000, 8000):
+                seen[line_id] = (len(dag.groups), calls / line_id)
+        assert seen[8000][0] == seen[4000][0]
+        assert seen[8000][1] == pytest.approx(seen[4000][1], rel=0.01)
 
 
 # Tiny vocabulary: shared head words, digit-bearing end tokens (n1, n2) and
@@ -306,9 +385,8 @@ class TestDerivedState:
             assert record.template_text == render_template(dag.output_template(record.output_id))
             assert sim_seq(tokens, dag.groups[record.group_id].event) == 1.0
             for group in dag.groups.values():
-                if group.threshold is not None:
-                    assert group.st == current_st(group.threshold)
-                    assert group.threshold.eta == group.event.count(None)
+                assert group.st == current_st(group.threshold)
+                assert group.threshold.eta == group.event.count(None)
             for output_id, node in dag.outputs.items():
                 if len(node.group_ids) > 1:
                     events = [dag.groups[gid].event for gid in node.group_ids]
@@ -402,6 +480,19 @@ class TestSnapshotAndState:
             resumed.parse_line(i, line.split())
 
         assert resumed.snapshot_groups() == straight.snapshot_groups()
+
+    def test_empty_message_group_is_an_ordinary_group(self):
+        # The empty message's constant ratio 0/0 counts as 0: st_init 0.0,
+        # base 2, so st is 0.0 and every empty message scores 1.0 against it.
+        dag = ParseDag()
+        parse_all(dag, ["", "a b"])
+        assert dag.groups[1].st == 0.0
+        state = json.loads(dag.to_json())
+        assert state["groups"][0] == {"count": 1, "event": [], "key": None, "output": 1,
+                                      "threshold": [0.0, 2]}
+        dag = ParseDag.from_json(dag.to_json())
+        assert dag.parse_line(3, []).group_id == 1
+        assert dag.groups[1].count == 2 and len(dag.groups) == 2
 
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
