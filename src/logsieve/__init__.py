@@ -10,7 +10,7 @@ ship alongside.
 from .dag import ParseDag, StructuredRecord, render_template
 from .evaluation import PairCounts, f_measure, load_ground_truth, pair_counts
 from .preprocess import (
-    DEFAULT_SPECIAL_CHARS,
+    SPECIAL_CHARS,
     PreprocessRule,
     apply_preprocess,
     select_split_token,
@@ -26,7 +26,7 @@ __all__ = [
     "f_measure",
     "load_ground_truth",
     "pair_counts",
-    "DEFAULT_SPECIAL_CHARS",
+    "SPECIAL_CHARS",
     "PreprocessRule",
     "apply_preprocess",
     "select_split_token",

@@ -25,13 +25,7 @@ import yaml
 from . import synth
 from .dag import ParseDag, check_merge_threshold
 from .evaluation import f_measure, load_ground_truth, pair_counts
-from .preprocess import (
-    ConfigError,
-    DEFAULT_SPECIAL_CHARS,
-    PreprocessRule,
-    apply_preprocess,
-    tokenize,
-)
+from .preprocess import ConfigError, PreprocessRule, apply_preprocess, tokenize
 
 STRUCTURED_CSV = "structured.csv"
 CATALOG_CSV = "templates.csv"
@@ -76,7 +70,6 @@ def extract_content(fmt: LineFormat, raw_line: str) -> str:
 @dataclass
 class RunConfig:
     preprocess_rules: list[PreprocessRule] = field(default_factory=list)
-    special_chars: frozenset = DEFAULT_SPECIAL_CHARS
     merge_threshold: float | None = None  # None turns merging off
     line_format: LineFormat = field(default_factory=lambda: LineFormat(["Content"]))
 
@@ -94,13 +87,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    known = {
-        "preprocess_rules",
-        "special_chars",
-        "merge_enabled",
-        "merge_threshold",
-        "line_format",
-    }
+    known = {"preprocess_rules", "merge_enabled", "merge_threshold", "line_format"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
@@ -110,7 +97,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: {key} must be {expected}, not {_BRIEF.repr(raw[key])}")
 
     check("preprocess_rules", lambda v: v is None or isinstance(v, list), "a list")
-    check("special_chars", lambda v: v is None or isinstance(v, str), "a string")
     check("merge_enabled", lambda v: v is None or isinstance(v, bool), "true or false")
     check("merge_threshold", lambda v: v is None or type(v) in (int, float), "a number")
     check("line_format", lambda v: v is None or isinstance(v, list)
@@ -131,11 +117,9 @@ def load_config(path) -> RunConfig:
         threshold = None
     elif threshold is None:
         raise ConfigError("merge_threshold is required when merge_enabled is true")
-    special = raw.get("special_chars")
     fmt = raw.get("line_format")
     return RunConfig(
         preprocess_rules=rules,
-        special_chars=frozenset(special) if special is not None else DEFAULT_SPECIAL_CHARS,
         merge_threshold=threshold,
         line_format=LineFormat(["Content"] if fmt is None else fmt),
     )
@@ -166,7 +150,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dag is None:
-        dag = ParseDag(merge_threshold=config.merge_threshold, special_chars=config.special_chars)
+        dag = ParseDag(merge_threshold=config.merge_threshold)
     stats = RunStats()
     start = time.perf_counter()
     cache_hits_before = dag.cache_hits
@@ -361,10 +345,8 @@ def main(argv: list[str] | None = None) -> int:
             dag = None
             if args.load_state:
                 dag = ParseDag.from_json(Path(args.load_state).read_text(encoding="utf-8"))
-                differ = [name for name in ("merge_threshold", "special_chars")
-                          if getattr(dag, name) != getattr(config, name)]
-                if differ:
-                    raise ValueError(f"{args.load_state}: the saved {', '.join(differ)} "
+                if dag.merge_threshold != config.merge_threshold:
+                    raise ValueError(f"{args.load_state}: the saved merge_threshold "
                                      "must match the config's")
             with _open_input(args.input) as fh:
                 stats, dag = run_stream(config, fh, args.output_dir, dag=dag)

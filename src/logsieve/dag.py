@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .preprocess import FIRST, LAST, ConfigError, SplitKey, select_split_token, DEFAULT_SPECIAL_CHARS
+from .preprocess import FIRST, LAST, ConfigError, SplitKey, has_digit, select_split_token
 from .similarity import (
     Token,
     WILDCARD,
@@ -24,10 +24,11 @@ from .similarity import (
     new_threshold_state,
     sim_seq,
     tem_sim,
+    threshold_pair,
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v6"
+SNAPSHOT_SCHEMA = "logsieve-state-v7"
 
 
 def render_template(event: list[Token]) -> str:
@@ -81,14 +82,9 @@ class StructuredRecord:
 class ParseDag:
     """Online template miner over a stream of tokenized log messages."""
 
-    def __init__(
-        self,
-        merge_threshold: float | None = None,
-        special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS,
-    ):
+    def __init__(self, merge_threshold: float | None = None):
         check_merge_threshold(merge_threshold)
         self.merge_threshold = merge_threshold  # None turns merging off
-        self.special_chars = frozenset(special_chars)
         self.length_nodes: dict[int, LengthNode] = {}
         self.groups: dict[int, LogGroup] = {}
         self.outputs: dict[int, OutputNode] = {}
@@ -138,8 +134,8 @@ class ParseDag:
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
-            return None, select_split_token(tokens, self.special_chars) if tokens else None
-        if not tokens:
+            return None, select_split_token(tokens)
+        if not tokens:  # the fast path reads tokens[0]
             return self.groups[length_node.split_nodes[None][0]], 1.0  # an empty event scores 1.0
         group_ids = length_node.cache
         if group_ids is not None and len(group_ids) == 1:
@@ -152,7 +148,7 @@ class ParseDag:
                     return None, group.key
                 self.cache_hits += 1
                 return group, score
-        key = select_split_token(tokens, self.special_chars)
+        key = select_split_token(tokens)
         group_ids = length_node.split_nodes.get(key)
         if group_ids is None:
             return None, key
@@ -184,7 +180,7 @@ class ParseDag:
         group = LogGroup(group_id=group_id, event=list(tokens), count=1, key=key,
                          threshold=new_threshold_state(tokens), output_id=group_id)
         counts = None
-        if self.merge_threshold is not None and tokens:
+        if self.merge_threshold is not None:
             counts = _literal_counts(tokens)
             group.output_id = self._try_merge(group, counts) or group_id
         self.length_nodes[len(tokens)].cache = self._place(group, counts)
@@ -235,8 +231,8 @@ class ParseDag:
         group_ids.append(group_id)
         if group.output_id == group_id:
             self.outputs[group_id] = OutputNode([group_id], event)
-            if self.merge_threshold is not None and event:
-                for token, n in (counts or _literal_counts(event)).items():
+            if self.merge_threshold is not None:
+                for token, n in (_literal_counts(event) if counts is None else counts).items():
                     self.merge_index.setdefault(token, {})[group_id] = n
         else:
             node = self.outputs[group.output_id]
@@ -296,13 +292,12 @@ class ParseDag:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize what resuming the stream needs: the settings a resumed run
-        must match and one entry per group, a group's ID being its position.
-        Wildcards are JSON null."""
+        """Serialize what resuming the stream needs: the merge setting a resumed
+        run must match and one entry per group, a group's ID being its
+        position. Wildcards are JSON null."""
         state = {
             "schema": SNAPSHOT_SCHEMA,
             "merge_threshold": self.merge_threshold,
-            "special_chars": "".join(sorted(self.special_chars)),
             "groups": [
                 {"key": g.key, "event": g.event, "count": g.count, "output": g.output_id,
                  "threshold": [g.threshold.st_init, g.threshold.base]}
@@ -318,7 +313,7 @@ class ParseDag:
         group takes. Each threshold's ``eta`` is its event's wildcard count.
         Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
-        dag = cls(state["merge_threshold"], frozenset(state["special_chars"]))
+        dag = cls(state["merge_threshold"])
         for group_id, entry in enumerate(state["groups"], start=1):
             event, key = entry["event"], entry["key"]
             threshold = ThresholdState(*entry["threshold"], event.count(None))
@@ -344,7 +339,7 @@ def _literal_counts(template: list[Token]) -> dict[str, int]:
 
 # -- state validation ----------------------------------------------------
 
-_STATE_KEYS = ["groups", "merge_threshold", "schema", "special_chars"]
+_STATE_KEYS = ["groups", "merge_threshold", "schema"]
 _GROUP_KEYS = ["count", "event", "key", "output", "threshold"]
 
 
@@ -365,7 +360,7 @@ def _is_event(value) -> bool:
 
 
 def _checked_state(text: str) -> dict:
-    """Parse a v6 state, checking its keys, types and cross-references."""
+    """Parse a v7 state, checking its keys, types and cross-references."""
     try:
         state = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
@@ -374,10 +369,8 @@ def _checked_state(text: str) -> dict:
     _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
     _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
     merge_threshold, groups = state["merge_threshold"], state["groups"]
-    _require(type(state["special_chars"]) is str
-             and (merge_threshold is None or type(merge_threshold) in (int, float)), "bad settings")
+    _require(merge_threshold is None or type(merge_threshold) in (int, float), "bad settings")
     _require(isinstance(groups, list), "bad groups")
-    special_chars = frozenset(state["special_chars"])
     for gid, group in enumerate(groups, start=1):
         _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
                  f"group {gid}: the keys must be {_GROUP_KEYS}")
@@ -388,12 +381,16 @@ def _checked_state(text: str) -> dict:
                  f"group {gid}: bad split key")
         # The fast path in ``search`` relies on this: literal ends give the key.
         if None not in event[:1] + event[-1:]:
-            expected = select_split_token(event, special_chars) if event else None
+            expected = select_split_token(event)
             _require(key == (expected and list(expected)),
                      f"group {gid}: split key {key!r} is not the one its ends give")
-        # The bounds new_threshold_state gives; a NaN fails the comparison.
-        _require(_is_list(thr, float, int) and 0.0 <= thr[0] <= 0.5
-                 and 2 <= thr[1] <= max(2, len(event) + 1), f"group {gid}: bad threshold")
+        # A pair new_threshold_state gives: the first message's digit-bearing
+        # tokens are the event's digit-bearing literals and any of its
+        # wildcards. A NaN equals no pair.
+        digits = sum(t is not None and has_digit(t) for t in event)
+        pairs = [list(threshold_pair(len(event), d))
+                 for d in range(digits, digits + event.count(None) + 1)]
+        _require(_is_list(thr, float, int) and thr in pairs, f"group {gid}: bad threshold")
         _require(out == gid or type(out) is int and 0 < out < gid
                  and groups[out - 1]["output"] == out, f"group {gid}: bad output {out!r}")
     return state

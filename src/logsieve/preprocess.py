@@ -9,9 +9,9 @@ routes the message through the token layer of the parse graph.
 import re
 from dataclasses import dataclass, field
 
-# Punctuation characters commonly found in variable tokens of system logs.
-# User-configurable; stored as an explicit constant for bit-stable behavior.
-DEFAULT_SPECIAL_CHARS = frozenset("#^$'*+,/<=>@_`)|~")
+# Punctuation characters commonly found in variable tokens of system logs: a
+# fixed set, so every run and every saved state routes a message alike.
+SPECIAL_CHARS = frozenset("#^$'*+,/<=>@_`)|~")
 
 DIGITS = frozenset("0123456789")
 
@@ -113,22 +113,21 @@ def has_digit(token: str) -> bool:
     return not DIGITS.isdisjoint(token)
 
 
-def has_special(token: str, special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS) -> bool:
-    """True iff the token contains a character from the special set (a set
-    of characters, not a string)."""
-    return not special_chars.isdisjoint(token)
+def has_special(token: str) -> bool:
+    """True iff the token contains a character of ``SPECIAL_CHARS``."""
+    return not SPECIAL_CHARS.isdisjoint(token)
 
 
-def select_split_token(
-    tokens: list[str], special_chars: frozenset[str] = DEFAULT_SPECIAL_CHARS
-) -> SplitKey:
+def select_split_token(tokens: list[str]) -> SplitKey:
     """Pick the token that routes graph traversal, or None when both ends
-    look variable.
+    look variable or there is no token.
 
     Tokens containing digits are unlikely to be constants, so a digit-bearing
     end token is never chosen. When neither end has digits, punctuation in the
     first token defers to the last one.
     """
+    if not tokens:
+        return None
     # has_digit and has_special, inlined: this runs on most lines.
     first = tokens[0]
     last = tokens[-1]
@@ -138,8 +137,8 @@ def select_split_token(
         return (LAST, last)
     if not DIGITS.isdisjoint(last):
         return (FIRST, first)
-    if not special_chars.isdisjoint(first):
-        if not special_chars.isdisjoint(last):
+    if not SPECIAL_CHARS.isdisjoint(first):
+        if not SPECIAL_CHARS.isdisjoint(last):
             return None
         return (LAST, last)
     return (FIRST, first)

@@ -261,6 +261,14 @@ class TestMainCli:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_special_chars_is_an_unknown_key(self, tmp_path, capsys):
+        # The split rule's punctuation set is fixed; a config may not set it.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text('special_chars: "#"\n')
+        code = main(["parse", "--config", str(cfg), "--input", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['special_chars']\n"
+
     def test_alias_bomb_error_line_stays_short(self, tmp_path, capsys):
         # Each alias level repeats the one below ten times: a 218-byte file
         # whose line_format holds 11,110 strings, nested up to four lists deep.
@@ -354,6 +362,14 @@ V5_STATE = {
 }
 
 
+V6_STATE = {
+    "schema": "logsieve-state-v6", "merge_threshold": None,
+    "special_chars": "#$')*+,/<=>@^_`|~",
+    "groups": [{"key": ["first", "Send"], "event": ["Send", "file", None], "count": 2,
+                "output": 1, "threshold": [0.3333333333333333, 2]}],
+}
+
+
 class TestStateFiles:
     """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
 
@@ -384,27 +400,35 @@ class TestStateFiles:
 
     def test_v2_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V2_STATE))
-        assert "logsieve-state-v6" in err
+        assert "logsieve-state-v7" in err
 
     def test_v3_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V3_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v6" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
 
     def test_v4_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V4_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v6" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
 
     def test_v5_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V5_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v6" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
+
+    def test_v6_file(self, tmp_path, capsys):
+        err = self.resume_with(tmp_path, capsys, json.dumps(V6_STATE))
+        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
 
     @pytest.mark.parametrize("threshold", [[-5.0, 2], [float("nan"), 2], [float("inf"), 2],
-                                           [0.75, 2], [0.25, 999999]],
-                             ids=["negative", "nan", "inf", "above-half", "huge-base"])
+                                           [0.75, 2], [0.25, 999999],
+                                           [0.5, 4], [0.3, 2], [0.25, 3]],
+                             ids=["negative", "nan", "inf", "above-half", "huge-base",
+                                  "mismatched-pair", "st-init-off-formula", "pair-of-a-4-token-event"])
     def test_threshold_the_formula_cannot_give(self, tmp_path, capsys, threshold):
-        # new_threshold_state gives 0 <= st_init <= 0.5 and 2 <= base <= the
-        # event's length + 1. A negative st_init would accept "Send x y" as
-        # "Send * *", and a NaN would be written back as non-standard JSON.
+        # The saved event is "Send file *": its first message held 0 or 1
+        # digit-bearing tokens, so only [0.5, 2] and [1/3, 2] are pairs the
+        # formula gives. A negative st_init would accept "Send x y" as
+        # "Send * *", a NaN would be written back as non-standard JSON, and
+        # [0.3, 2] would give the group a looser st than the live parser's.
         state = json.loads(self.saved_state(tmp_path))
         state["groups"][0]["threshold"] = threshold
         err = self.resume_with(tmp_path, capsys, json.dumps(state))
@@ -434,7 +458,7 @@ class TestStateFiles:
         for line_id, line in enumerate(lines, start=1):
             dag.parse_line(line_id, tokenize(line))
         state = json.loads(dag.to_json())
-        assert sorted(state) == ["groups", "merge_threshold", "schema", "special_chars"]
+        assert sorted(state) == ["groups", "merge_threshold", "schema"]
         assert len(state["groups"]) == len(dag.groups)
 
     def test_state_holds_no_merged_templates_or_wildcard_counts(self):

@@ -225,13 +225,14 @@ class TestCache:
 def brute_force_merge_target(dag, group):
     """The unindexed merge scan: every other non-empty output node, scored by
     DP LCS length over the shorter length, in ascending ID order, the first
-    best kept; accepted only strictly above the threshold."""
+    best kept; accepted only strictly above the threshold. An empty event
+    shares nothing: its 0/0 counts as 0."""
     best_id, best_score = None, -1.0
     for output_id in sorted(dag.outputs):
         template = dag.output_template(output_id)
         if output_id == group.output_id or not template:
             continue
-        score = len(dp_lcs(group.event, template)) / min(len(group.event), len(template))
+        score = len(dp_lcs(group.event, template)) / (min(len(group.event), len(template)) or 1)
         if score > best_score:
             best_id, best_score = output_id, score
     return best_id if best_id is not None and best_score > dag.merge_threshold else None
@@ -325,7 +326,7 @@ class TestMerge:
 
     def test_literals_counted_once_per_created_group(self, monkeypatch):
         # Groups 1, 2 and 4 open their own nodes and group 3 merges into 1;
-        # the empty message's group has no literals to count.
+        # the empty message's group counts its literals, none, once too.
         calls = []
         real = logsieve.dag._literal_counts
         monkeypatch.setattr(logsieve.dag, "_literal_counts",
@@ -335,7 +336,7 @@ class TestMerge:
                                   "", "send pkt to host"])
         assert [r.output_id for r in records] == [1, 2, 1, 4, 1]
         assert calls == [["send", "pkt", "to", "host"], ["open", "port", "now"],
-                         ["send", "pkt", "to", "host", "now"]]
+                         ["send", "pkt", "to", "host", "now"], []]
 
     def test_group_sharing_no_token_is_never_scored(self, monkeypatch):
         calls = []
@@ -487,6 +488,23 @@ class TestSnapshotAndState:
         dag = ParseDag.from_json(dag.to_json())
         assert dag.parse_line(3, []).group_id == 1
         assert dag.groups[1].count == 2 and len(dag.groups) == 2
+
+    def test_empty_messages_parse_alike_with_merging_on_and_off(self):
+        # An empty event's literal counts are {}: it has no merge candidate
+        # and enters nothing in the merge index, so merging changes only the
+        # saved setting.
+        runs = []
+        for threshold in (None, 0.5):
+            dag = ParseDag(merge_threshold=threshold)
+            records = parse_all(dag, ["", "a b", ""])
+            assert dag.merge_index == ({} if threshold is None else {"a": {2: 1}, "b": {2: 1}})
+            dag = ParseDag.from_json(dag.to_json())
+            records.append(dag.parse_line(4, []))
+            state = json.loads(dag.to_json())
+            assert state.pop("merge_threshold") == threshold
+            runs.append((records, dag.snapshot_groups(), state))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [(1, "", 3), (2, "a b", 1)]
 
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from logsieve.preprocess import (
     ConfigError,
-    DEFAULT_SPECIAL_CHARS,
     FIRST,
     LAST,
     PreprocessRule,
+    SPECIAL_CHARS,
     apply_preprocess,
     has_digit,
     has_special,
@@ -151,7 +151,7 @@ class TestCharClasses:
         assert not has_special("a.b")  # '.' is not in the default set
 
     def test_default_set_contents(self):
-        assert DEFAULT_SPECIAL_CHARS == frozenset("#^$'*+,/<=>@_`)|~")
+        assert SPECIAL_CHARS == frozenset("#^$'*+,/<=>@_`)|~")
 
 
 class TestSelectSplitToken:
@@ -164,6 +164,7 @@ class TestSelectSplitToken:
             (["<info>", "session", "opened"], (LAST, "opened")),
             (["<a>", "x", "<b>"], None),
             (["plain", "words", "here"], (FIRST, "plain")),
+            ([], None),
         ],
     )
     def test_branches(self, tokens, expected):
@@ -193,21 +194,24 @@ class TestSelectSplitToken:
         assert select_split_token(tokens) == select_split_token(tokens)
 
     @staticmethod
-    def reference_split_token(tokens, special_chars):
+    def reference_split_token(tokens):
         """The split rule written with the public character-class tests."""
+        if not tokens:
+            return None
         first, last = tokens[0], tokens[-1]
         if has_digit(first):
             return None if has_digit(last) else (LAST, last)
         if has_digit(last):
             return (FIRST, first)
-        if has_special(first, special_chars):
-            return None if has_special(last, special_chars) else (LAST, last)
+        if has_special(first):
+            return None if has_special(last) else (LAST, last)
         return (FIRST, first)
 
-    @given(st.lists(token_strat, min_size=1, max_size=8),
-           st.text(alphabet=st.sampled_from("#<>*_.az0"), max_size=5))
-    def test_matches_the_rule_built_from_has_digit_and_has_special(self, tokens, special):
-        special_chars = frozenset(special)
-        assert select_split_token(tokens, special_chars) == self.reference_split_token(
-            tokens, special_chars
-        )
+    # Every character of the fixed set, plus letters, digits and punctuation
+    # outside it.
+    any_char_token = st.text(alphabet=st.sampled_from(sorted(SPECIAL_CHARS) + list("az09.:-")),
+                             min_size=1, max_size=4)
+
+    @given(st.lists(any_char_token, max_size=8))
+    def test_matches_the_rule_built_from_has_digit_and_has_special(self, tokens):
+        assert select_split_token(tokens) == self.reference_split_token(tokens)
