@@ -148,7 +148,7 @@ class TestCharClasses:
     def test_has_special(self):
         assert has_special("<info>")
         assert not has_special("opened")
-        assert not has_special("a.b")  # '.' is not in the default set
+        assert not has_special("a.b")  # '.' is not in the set
 
     def test_default_set_contents(self):
         assert SPECIAL_CHARS == frozenset("#^$'*+,/<=>@_`)|~")
