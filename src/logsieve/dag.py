@@ -2,8 +2,9 @@
 and output nodes, mutated one message at a time.
 
 Traversal per message: length node (token count) -> token node (split key) ->
-similarity node (candidate group list) -> output node (final template). Each
-length node also keeps its last used similarity node for an exact fast path.
+similarity node (candidate groups) -> output node (final template). The nodes
+hold the groups themselves; ``groups`` lists them by ID. Each length node also
+keeps its last used similarity node for an exact fast path.
 The groups are the only primary state, and ``_place`` enters a group in every
 node: a load replays each saved group through the placement a new group takes.
 
@@ -15,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .preprocess import FIRST, LAST, ConfigError, SplitKey, has_digit, select_split_token
+from .preprocess import FIRST, ConfigError, SplitKey, has_digit, select_split_token
 from .similarity import (
     Token,
     WILDCARD,
@@ -54,7 +55,7 @@ class LogGroup:
 
 @dataclass(slots=True)
 class OutputNode:
-    group_ids: list[int]
+    members: list[LogGroup]
     # Derived, never serialized, and both cleared whenever a member gains a
     # wildcard: the template (a lone member's live event itself, or the LCS
     # fold of the members' live events) and the rendered template, each
@@ -65,10 +66,10 @@ class OutputNode:
 
 @dataclass(slots=True)
 class LengthNode:
-    # split key -> ordered group-id list (the similarity node)
-    split_nodes: dict[SplitKey, list[int]] = field(default_factory=dict)
+    # split key -> creation-ordered groups (the similarity node)
+    split_nodes: dict[SplitKey, list[LogGroup]] = field(default_factory=dict)
     # The similarity node of the last match or creation here; not serialized.
-    cache: list[int] | None = None
+    cache: list[LogGroup] | None = None
 
 
 @dataclass(slots=True)
@@ -103,7 +104,7 @@ class ParseDag:
         empty once the members share no literal."""
         node = self.outputs[output_id]
         if node.template is None:
-            node.template = reduce(lcs, [self.groups[gid].event for gid in node.group_ids])
+            node.template = reduce(lcs, [group.event for group in node.members])
         return node.template
 
     def output_text(self, output_id: int) -> str:
@@ -130,16 +131,15 @@ class ParseDag:
         event is its first message's, so a message whose ends equal a group's
         literal ends routes to that group's node. When that node holds this
         one group, the group alone decides, as the full scan would, and on a
-        miss the message's key is that group's.
+        miss the message's key is that group's. An empty message has no ends
+        and takes the scan.
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
             return None, select_split_token(tokens)
-        if not tokens:  # the fast path reads tokens[0]
-            return self.groups[length_node.split_nodes[None][0]], 1.0  # an empty event scores 1.0
-        group_ids = length_node.cache
-        if group_ids is not None and len(group_ids) == 1:
-            group = self.groups[group_ids[0]]
+        groups = length_node.cache
+        if tokens and groups is not None and len(groups) == 1:
+            group = groups[0]
             event = group.event
             # A wildcard (None) never equals a message token.
             if tokens[0] == event[0] and tokens[-1] == event[-1]:
@@ -149,14 +149,12 @@ class ParseDag:
                 self.cache_hits += 1
                 return group, score
         key = select_split_token(tokens)
-        group_ids = length_node.split_nodes.get(key)
-        if group_ids is None:
+        groups = length_node.split_nodes.get(key)
+        if groups is None:
             return None, key
-        groups = self.groups
         best = None
         best_score = -1.0
-        for gid in group_ids:
-            group = groups[gid]
+        for group in groups:
             score = sim_seq(tokens, group.event)
             # A score is never below 0, so ``best`` is set before any tie.
             if score >= group.st and (score > best_score or score == best_score
@@ -164,7 +162,7 @@ class ParseDag:
                 best = group
                 best_score = score
         if best is not None:
-            length_node.cache = group_ids
+            length_node.cache = groups
             return best, best_score
         return None, key
 
@@ -216,7 +214,7 @@ class ParseDag:
                 best_id = output_id
         return best_id
 
-    def _place(self, group: LogGroup, counts: dict[str, int] | None = None) -> list[int]:
+    def _place(self, group: LogGroup, counts: dict[str, int] | None = None) -> list[LogGroup]:
         """Enter a group in the graph and return its similarity node. A group
         whose output ID is its own opens that node and, with merging on, enters
         its literal counts (``counts``, if already counted) in the merge index;
@@ -227,10 +225,10 @@ class ParseDag:
         length_node = self.length_nodes.get(len(event))
         if length_node is None:
             length_node = self.length_nodes[len(event)] = LengthNode()
-        group_ids = length_node.split_nodes.setdefault(group.key, [])
-        group_ids.append(group_id)
+        groups = length_node.split_nodes.setdefault(group.key, [])
+        groups.append(group)
         if group.output_id == group_id:
-            self.outputs[group_id] = OutputNode([group_id], event)
+            self.outputs[group_id] = OutputNode([group], event)
             if self.merge_threshold is not None:
                 for token, n in (_literal_counts(event) if counts is None else counts).items():
                     self.merge_index.setdefault(token, {})[group_id] = n
@@ -238,8 +236,8 @@ class ParseDag:
             node = self.outputs[group.output_id]
             node.template = lcs(self.output_template(group.output_id), event)
             node.text = None
-            node.group_ids.append(group_id)
-        return group_ids
+            node.members.append(group)
+        return groups
 
     def update_group(self, group: LogGroup, tokens: list[str], score: float) -> int:
         """Absorb a matched message that scored ``score`` against the group:
@@ -284,7 +282,7 @@ class ParseDag:
             (
                 output_id,
                 self.output_text(output_id),
-                sum(self.groups[gid].count for gid in node.group_ids),
+                sum(group.count for group in node.members),
             )
             for output_id, node in sorted(self.outputs.items())
         ]
@@ -359,6 +357,21 @@ def _is_event(value) -> bool:
                                            for t in value)
 
 
+def _split_keys(event: list[Token]) -> list[list[str] | None]:
+    """The split keys, as saved, that the first message of a group with this
+    event can have had: its ends are the event's literal ends, and a wildcard
+    end held a token with a digit ("0") or a special character ("#"). No line
+    routed by a key can wildcard the end token the key names."""
+    if not event:
+        return [None]
+    ends = [["0", "#"] if t is None else [t] for t in (event[0], event[-1])]
+    messages = [[t] for t in ends[0]] if len(event) == 1 else [
+        [first, last] for first in ends[0] for last in ends[1]]
+    keys = map(select_split_token, messages)
+    return [key and list(key) for key in keys
+            if key is None or event[0 if key[0] == FIRST else -1] is not None]
+
+
 def _checked_state(text: str) -> dict:
     """Parse a v7 state, checking its keys, types and cross-references."""
     try:
@@ -377,13 +390,8 @@ def _checked_state(text: str) -> dict:
         key, event, thr, out = group["key"], group["event"], group["threshold"], group["output"]
         _require(type(group["count"]) is int and group["count"] > 0 and _is_event(event),
                  f"group {gid}: bad count or event")
-        _require(key is None or _is_list(key, str, str) and key[0] in (FIRST, LAST),
-                 f"group {gid}: bad split key")
         # The fast path in ``search`` relies on this: literal ends give the key.
-        if None not in event[:1] + event[-1:]:
-            expected = select_split_token(event)
-            _require(key == (expected and list(expected)),
-                     f"group {gid}: split key {key!r} is not the one its ends give")
+        _require(key in _split_keys(event), f"group {gid}: split key is not one its ends give")
         # A pair new_threshold_state gives: the first message's digit-bearing
         # tokens are the event's digit-bearing literals and any of its
         # wildcards. A NaN equals no pair.

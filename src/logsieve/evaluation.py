@@ -59,10 +59,11 @@ def load_ground_truth(path) -> Partition:
     """Read a two-column CSV (line_id, event_label) into a Partition.
 
     A header row is expected and skipped when its first cell is not an
-    integer; files written without one still load.
+    integer; files written without one still load. A leading UTF-8
+    byte-order mark is dropped, so it cannot hide the first line ID.
     """
     partition: Partition = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

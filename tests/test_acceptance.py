@@ -229,9 +229,9 @@ def test_criterion_8_invariant_suite():
 
         # fixed depth: every group reachable by exactly length -> key -> list
         for length, node in dag.length_nodes.items():
-            for key, ids in node.split_nodes.items():
-                for gid in ids:
-                    assert len(dag.groups[gid].event) == length
+            for key, groups in node.split_nodes.items():
+                for group in groups:
+                    assert len(group.event) == length
 
         # determinism of the snapshot
         replay = ParseDag()

@@ -438,13 +438,16 @@ class TestStateFiles:
         err = self.resume_with(tmp_path, capsys, "[" * 100_000)
         assert err.startswith("error: bad state file:")
 
-    @pytest.mark.parametrize("key", [["first", "file"], ["last", "Send"], None],
-                             ids=["other-token", "other-end", "none"])
-    def test_split_key_not_the_literal_ends(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, last", [
+        (["first", "file"], "now"), (["last", "Send"], "now"), (None, "now"),
+        (["first", "file"], None), (["last", "Send"], None)],
+        ids=["other-token", "other-end", "none", "other-token-wildcard-end", "wildcard-end"])
+    def test_split_key_not_the_literal_ends(self, tmp_path, capsys, key, last):
         # The fast path routes by literal ends, so a key they do not give
-        # would let it and the full scan disagree.
+        # would let it and the full scan disagree. A wildcard end held a
+        # token with a digit or a special character, and a key never names it.
         state = json.loads(self.saved_state(tmp_path))
-        state["groups"][0]["event"][-1] = "now"
+        state["groups"][0]["event"][-1] = last
         state["groups"][0]["key"] = key
         err = self.resume_with(tmp_path, capsys, json.dumps(state))
         assert err.startswith("error: bad state file: group 1: split key")

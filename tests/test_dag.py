@@ -125,13 +125,12 @@ def brute_force_search(dag, tokens):
     the groups whose score reaches their own threshold, the highest score,
     then the fewest wildcards, then the earliest; None when none accepts."""
     node = dag.length_nodes.get(len(tokens))
-    group_ids = node.split_nodes.get(select_split_token(tokens), []) if node else []
+    groups = node.split_nodes.get(select_split_token(tokens), []) if node else []
     accepting = []
-    for gid in group_ids:
-        group = dag.groups[gid]
+    for group in groups:
         score = sim_seq(tokens, group.event)
         if score >= group.st:
-            accepting.append((-score, group.event.count(None), gid))
+            accepting.append((-score, group.event.count(None), group.group_id))
     return min(accepting)[2] if accepting else None
 
 
@@ -383,8 +382,8 @@ class TestDerivedState:
                 assert group.st == current_st(group.threshold)
                 assert group.threshold.eta == group.event.count(None)
             for output_id, node in dag.outputs.items():
-                if len(node.group_ids) > 1:
-                    events = [dag.groups[gid].event for gid in node.group_ids]
+                if len(node.members) > 1:
+                    events = [group.event for group in node.members]
                     assert dag.output_template(output_id) == reduce(dp_lcs, events)
         for output_id, text, _ in dag.snapshot_groups():
             assert text == render_template(dag.output_template(output_id))
@@ -393,8 +392,25 @@ class TestDerivedState:
 def placement(dag):
     """The graph's indexes over the groups: {length: {split key: group IDs}}
     and {output ID: group IDs}."""
-    return ({length: node.split_nodes for length, node in dag.length_nodes.items()},
-            {output_id: node.group_ids for output_id, node in dag.outputs.items()})
+    def ids(groups):
+        return [g.group_id for g in groups]
+
+    return ({length: {key: ids(groups) for key, groups in node.split_nodes.items()}
+             for length, node in dag.length_nodes.items()},
+            {output_id: ids(node.members) for output_id, node in dag.outputs.items()})
+
+
+def assert_nodes_hold_the_registered_groups(dag):
+    """Every group in a similarity node, a length node's pointer or an output
+    node is the registry's object, so the wildcards ``update_group`` adds reach
+    every node; a length node's pointer is one of its similarity nodes."""
+    for node in dag.length_nodes.values():
+        assert node.cache is None or any(node.cache is groups
+                                         for groups in node.split_nodes.values())
+        for groups in node.split_nodes.values():
+            assert all(group is dag.groups[group.group_id] for group in groups)
+    for node in dag.outputs.values():
+        assert all(group is dag.groups[group.group_id] for group in node.members)
 
 
 def assert_merge_index_bounds(dag):
@@ -426,6 +442,8 @@ class TestPlacement:
             if line_id == split:
                 reloaded = ParseDag.from_json(reloaded.to_json())
             assert placement(reloaded) == placement(live)
+            assert_nodes_hold_the_registered_groups(live)
+            assert_nodes_hold_the_registered_groups(reloaded)
             if threshold is not None:
                 assert_merge_index_bounds(live)
                 assert_merge_index_bounds(reloaded)
@@ -550,9 +568,9 @@ class TestInvariants:
         dag = ParseDag()
         parse_all(dag, lines)
         for length, node in dag.length_nodes.items():
-            for ids in node.split_nodes.values():
-                for gid in ids:
-                    assert len(dag.groups[gid].event) == length
+            for groups in node.split_nodes.values():
+                for group in groups:
+                    assert len(group.event) == length
 
     def test_determinism(self):
         rng = random.Random(19)

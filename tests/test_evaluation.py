@@ -98,6 +98,12 @@ class TestLoadGroundTruth:
         p.write_text("1,E1\n2,E1\n")
         assert load_ground_truth(p) == {1: "E1", 2: "E1"}
 
+    def test_headerless_with_byte_order_mark(self, tmp_path):
+        # Spreadsheet exports often start with EF BB BF; line 1 is still data.
+        p = tmp_path / "truth.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,a\n2,a\n")
+        assert load_ground_truth(p) == {1: "a", 2: "a"}
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "truth.csv"
         p.write_text("")
