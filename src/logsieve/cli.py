@@ -289,10 +289,10 @@ def _open_input(path: str):
 
 
 def _sizes(text: str) -> list[int]:
-    """Parse ``--sizes``: comma-separated line counts, each at least 1."""
+    """Parse ``--sizes``: comma-separated line counts, at least one, each at least 1."""
     try:
         sizes = [int(s) for s in text.split(",") if s]
-        if all(size >= 1 for size in sizes):
+        if sizes and all(size >= 1 for size in sizes):
             return sizes
     except ValueError:
         pass

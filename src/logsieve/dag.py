@@ -7,6 +7,8 @@ hold the groups themselves; ``groups`` lists them by ID. Each length node also
 keeps its last used similarity node for an exact fast path.
 The groups are the only primary state, and ``_place`` enters a group in every
 node: a load replays each saved group through the placement a new group takes.
+A group keeps its first message, from which its split key and its threshold's
+``st_init`` and ``base`` follow; a load derives both by the live functions.
 
 Single-writer contract: one ParseDag is driven by one logical stream at a
 time; snapshots may be read when no writer is active.
@@ -16,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .preprocess import FIRST, ConfigError, SplitKey, has_digit, select_split_token
+from .preprocess import FIRST, ConfigError, SplitKey, select_split_token
 from .similarity import (
     Token,
     WILDCARD,
@@ -25,11 +27,10 @@ from .similarity import (
     new_threshold_state,
     sim_seq,
     tem_sim,
-    threshold_pair,
     ThresholdState,
 )
 
-SNAPSHOT_SCHEMA = "logsieve-state-v7"
+SNAPSHOT_SCHEMA = "logsieve-state-v8"
 
 
 def render_template(event: list[Token]) -> str:
@@ -45,6 +46,9 @@ class LogGroup:
     threshold: ThresholdState
     output_id: int
     key: SplitKey  # the split key of the similarity node holding the group
+    # The message that created the group; ``key`` and the threshold's st_init
+    # and base are those of this message.
+    first_message: tuple[str, ...]
     # Derived, never serialized: current_st(threshold), refreshed when the
     # group gains a wildcard.
     st: float = field(init=False, repr=False, compare=False)
@@ -176,7 +180,8 @@ class ParseDag:
         # output node gives it its ID.
         group_id = len(self.groups) + 1
         group = LogGroup(group_id=group_id, event=list(tokens), count=1, key=key,
-                         threshold=new_threshold_state(tokens), output_id=group_id)
+                         threshold=new_threshold_state(tokens), output_id=group_id,
+                         first_message=tuple(tokens))
         counts = None
         if self.merge_threshold is not None:
             counts = _literal_counts(tokens)
@@ -292,13 +297,14 @@ class ParseDag:
     def to_json(self) -> str:
         """Serialize what resuming the stream needs: the merge setting a resumed
         run must match and one entry per group, a group's ID being its
-        position. Wildcards are JSON null."""
+        position. Wildcards are JSON null; ``values`` holds the first message's
+        tokens at the wildcards, so the event and ``values`` give that message."""
         state = {
             "schema": SNAPSHOT_SCHEMA,
             "merge_threshold": self.merge_threshold,
             "groups": [
-                {"key": g.key, "event": g.event, "count": g.count, "output": g.output_id,
-                 "threshold": [g.threshold.st_init, g.threshold.base]}
+                {"event": g.event, "count": g.count, "output": g.output_id,
+                 "values": [m for m, t in zip(g.first_message, g.event) if t is None]}
                 for g in self.groups.values()  # entered in ID order
             ],
         }
@@ -308,15 +314,18 @@ class ParseDag:
     def from_json(cls, text: str) -> "ParseDag":
         """Rebuild a parser from ``to_json`` output: check the file, then replay
         each saved group in ID order through ``_place``, the placement a new
-        group takes. Each threshold's ``eta`` is its event's wildcard count.
-        Raises ValueError naming the first problem of any other input."""
+        group takes. A group's split key and threshold are its first message's,
+        as ``create_group`` gives them, and ``eta`` is its event's wildcard
+        count. Raises ValueError naming the first problem of any other input."""
         state = _checked_state(text)
         dag = cls(state["merge_threshold"])
         for group_id, entry in enumerate(state["groups"], start=1):
-            event, key = entry["event"], entry["key"]
-            threshold = ThresholdState(*entry["threshold"], event.count(None))
+            event = entry["event"]
+            message = _first_message(event, entry["values"])
+            threshold = new_threshold_state(message)
+            threshold.eta = event.count(None)
             dag._place(LogGroup(group_id, event, entry["count"], threshold, entry["output"],
-                                None if key is None else tuple(key)))
+                                select_split_token(message), message))
         return dag
 
 
@@ -338,17 +347,12 @@ def _literal_counts(template: list[Token]) -> dict[str, int]:
 # -- state validation ----------------------------------------------------
 
 _STATE_KEYS = ["groups", "merge_threshold", "schema"]
-_GROUP_KEYS = ["count", "event", "key", "output", "threshold"]
+_GROUP_KEYS = ["count", "event", "output", "values"]
 
 
 def _require(ok: bool, problem: str) -> None:
     if not ok:
         raise ValueError(f"bad state file: {problem}")
-
-
-def _is_list(value, *types) -> bool:
-    """A JSON array holding exactly one item of each given type, in order."""
-    return isinstance(value, list) and [type(t) for t in value] == list(types)
 
 
 def _is_event(value) -> bool:
@@ -357,23 +361,14 @@ def _is_event(value) -> bool:
                                            for t in value)
 
 
-def _split_keys(event: list[Token]) -> list[list[str] | None]:
-    """The split keys, as saved, that the first message of a group with this
-    event can have had: its ends are the event's literal ends, and a wildcard
-    end held a token with a digit ("0") or a special character ("#"). No line
-    routed by a key can wildcard the end token the key names."""
-    if not event:
-        return [None]
-    ends = [["0", "#"] if t is None else [t] for t in (event[0], event[-1])]
-    messages = [[t] for t in ends[0]] if len(event) == 1 else [
-        [first, last] for first in ends[0] for last in ends[1]]
-    keys = map(select_split_token, messages)
-    return [key and list(key) for key in keys
-            if key is None or event[0 if key[0] == FIRST else -1] is not None]
+def _first_message(event: list[Token], values: list[str]) -> tuple[str, ...]:
+    """The event with its wildcards filled, in order, from ``values``."""
+    fill = iter(values)
+    return tuple(next(fill) if t is None else t for t in event)
 
 
 def _checked_state(text: str) -> dict:
-    """Parse a v7 state, checking its keys, types and cross-references."""
+    """Parse a v8 state, checking its keys, types and cross-references."""
     try:
         state = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
@@ -387,18 +382,17 @@ def _checked_state(text: str) -> dict:
     for gid, group in enumerate(groups, start=1):
         _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
                  f"group {gid}: the keys must be {_GROUP_KEYS}")
-        key, event, thr, out = group["key"], group["event"], group["threshold"], group["output"]
+        event, values, out = group["event"], group["values"], group["output"]
         _require(type(group["count"]) is int and group["count"] > 0 and _is_event(event),
                  f"group {gid}: bad count or event")
-        # The fast path in ``search`` relies on this: literal ends give the key.
-        _require(key in _split_keys(event), f"group {gid}: split key is not one its ends give")
-        # A pair new_threshold_state gives: the first message's digit-bearing
-        # tokens are the event's digit-bearing literals and any of its
-        # wildcards. A NaN equals no pair.
-        digits = sum(t is not None and has_digit(t) for t in event)
-        pairs = [list(threshold_pair(len(event), d))
-                 for d in range(digits, digits + event.count(None) + 1)]
-        _require(_is_list(thr, float, int) and thr in pairs, f"group {gid}: bad threshold")
-        _require(out == gid or type(out) is int and 0 < out < gid
-                 and groups[out - 1]["output"] == out, f"group {gid}: bad output {out!r}")
+        _require(_is_event(values) and None not in values and len(values) == event.count(None),
+                 f"group {gid}: bad values")
+        # No line routed by a key can wildcard the end token the key names.
+        key = select_split_token(_first_message(event, values))
+        _require(key is None or event[0 if key[0] == FIRST else -1] is not None,
+                 f"group {gid}: split key names a wildcard end")
+        # With merging off, every group opens its own output node.
+        _require(type(out) is int and (out == gid or merge_threshold is not None and 0 < out < gid
+                                       and groups[out - 1]["output"] == out),
+                 f"group {gid}: bad output {out!r}")
     return state

@@ -52,22 +52,16 @@ class ThresholdState:
     eta: int
 
 
-def threshold_pair(seq_len: int, digits: int) -> tuple[float, int]:
-    """``(st_init, base)`` of a group whose first message has ``seq_len``
-    tokens, ``digits`` of them digit-bearing.
+def new_threshold_state(tokens: list[str]) -> ThresholdState:
+    """Initialize threshold state from a new group's first (all-literal) message.
 
     The initial threshold estimates the constant ratio of the template:
     digit-bearing tokens are presumed variables and discounted, and the empty
     message's 0/0 counts as 0, so its group accepts every empty message.
     """
-    return 0.5 * (seq_len - digits) / (seq_len or 1), max(2, digits + 1)
-
-
-def new_threshold_state(tokens: list[str]) -> ThresholdState:
-    """Initialize threshold state from a new group's first (all-literal) message."""
     seq_len = len(tokens)
     digits = seq_len - sum(map(DIGITS.isdisjoint, tokens))
-    return ThresholdState(*threshold_pair(seq_len, digits), eta=0)
+    return ThresholdState(0.5 * (seq_len - digits) / (seq_len or 1), max(2, digits + 1), eta=0)
 
 
 def current_st(state: ThresholdState) -> float:

@@ -20,7 +20,7 @@ from logsieve.cli import (
 )
 from logsieve.dag import ParseDag
 from logsieve.preprocess import ConfigError, PreprocessRule, tokenize
-from test_dag import ScanOnlyDag
+from test_dag import ScanOnlyDag, parse_all
 
 HDFS_LINE = (
     "081109 204655 556 INFO dfs.DataNode$PacketResponder: "
@@ -290,8 +290,9 @@ class TestMainCli:
     @pytest.mark.parametrize("argv", [
         [], ["frobnicate"], ["parse", "--bogus"], ["eval"],
         ["bench", "--sizes", "10", "--seed", "x"], ["bench"], ["bench", "--sizes=-5,0"],
+        ["bench", "--sizes", ","],
     ], ids=["no-command", "unknown-command", "unknown-option", "eval-without-truth",
-            "seed-not-int", "bench-without-sizes", "sizes-below-one"])
+            "seed-not-int", "bench-without-sizes", "sizes-below-one", "sizes-none"])
     def test_bad_command_line_is_one_line_usage_error(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -370,6 +371,13 @@ V6_STATE = {
 }
 
 
+V7_STATE = {
+    "schema": "logsieve-state-v7", "merge_threshold": None,
+    "groups": [{"key": ["first", "Send"], "event": ["Send", "file", None], "count": 2,
+                "output": 1, "threshold": [0.3333333333333333, 2]}],
+}
+
+
 class TestStateFiles:
     """Every bad --load-state gives exit 1 and one stderr line, never a traceback."""
 
@@ -400,57 +408,82 @@ class TestStateFiles:
 
     def test_v2_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V2_STATE))
-        assert "logsieve-state-v7" in err
+        assert "logsieve-state-v8" in err
 
     def test_v3_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V3_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v8" in err
 
     def test_v4_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V4_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v8" in err
 
     def test_v5_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V5_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v8" in err
 
     def test_v6_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V6_STATE))
-        assert err.startswith("error: bad state file:") and "logsieve-state-v7" in err
+        assert err.startswith("error: bad state file:") and "logsieve-state-v8" in err
 
-    @pytest.mark.parametrize("threshold", [[-5.0, 2], [float("nan"), 2], [float("inf"), 2],
-                                           [0.75, 2], [0.25, 999999],
-                                           [0.5, 4], [0.3, 2], [0.25, 3]],
-                             ids=["negative", "nan", "inf", "above-half", "huge-base",
-                                  "mismatched-pair", "st-init-off-formula", "pair-of-a-4-token-event"])
-    def test_threshold_the_formula_cannot_give(self, tmp_path, capsys, threshold):
-        # The saved event is "Send file *": its first message held 0 or 1
-        # digit-bearing tokens, so only [0.5, 2] and [1/3, 2] are pairs the
-        # formula gives. A negative st_init would accept "Send x y" as
-        # "Send * *", a NaN would be written back as non-standard JSON, and
-        # [0.3, 2] would give the group a looser st than the live parser's.
+    def test_v7_file(self, tmp_path, capsys):
+        # A v7 group saved its split key and threshold, not its first message.
+        err = self.resume_with(tmp_path, capsys, json.dumps(V7_STATE))
+        assert err.startswith("error: bad state file:") and "logsieve-state-v8" in err
+
+    @pytest.mark.parametrize("values", [[], ["f_01", "f_02"], [None], [""], ["a b"], "f_01"],
+                             ids=["none-for-the-wildcard", "one-too-many", "null", "empty",
+                                  "two-tokens", "not-a-list"])
+    def test_bad_values(self, tmp_path, capsys, values):
+        # The saved event is "Send file *": its first message fills the one
+        # wildcard with one token as str.split gives it, from which the load
+        # derives the split key and the threshold.
         state = json.loads(self.saved_state(tmp_path))
-        state["groups"][0]["threshold"] = threshold
+        state["groups"][0]["values"] = values
         err = self.resume_with(tmp_path, capsys, json.dumps(state))
-        assert err == "error: bad state file: group 1: bad threshold\n"
+        assert err == "error: bad state file: group 1: bad values\n"
 
     def test_deeply_nested_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, "[" * 100_000)
         assert err.startswith("error: bad state file:")
 
-    @pytest.mark.parametrize("key, last", [
-        (["first", "file"], "now"), (["last", "Send"], "now"), (None, "now"),
-        (["first", "file"], None), (["last", "Send"], None)],
-        ids=["other-token", "other-end", "none", "other-token-wildcard-end", "wildcard-end"])
-    def test_split_key_not_the_literal_ends(self, tmp_path, capsys, key, last):
-        # The fast path routes by literal ends, so a key they do not give
-        # would let it and the full scan disagree. A wildcard end held a
-        # token with a digit or a special character, and a key never names it.
+    @pytest.mark.parametrize("event, values, loads", [
+        ([None, "file", None], ["Send", "f_01"], False),
+        (["a1", "file", None], ["done"], False),
+        (["Send", "file", None], ["plain"], True)],
+        ids=["wildcard-first-end", "wildcard-end", "literal-end"])
+    def test_split_key_not_the_literal_ends(self, tmp_path, capsys, event, values, loads):
+        # The key is the first message's, and no line routed by a key can
+        # wildcard the end token it names: ("first", "Send") for "* file *"
+        # and ("last", "done") for "a1 file *" name a wildcard end. A literal
+        # end may key a group whose other end is a wildcard.
         state = json.loads(self.saved_state(tmp_path))
-        state["groups"][0]["event"][-1] = last
-        state["groups"][0]["key"] = key
+        state["groups"][0].update(event=event, values=values)
+        if loads:
+            assert ParseDag.from_json(json.dumps(state)).groups[1].key == ("first", "Send")
+        else:
+            err = self.resume_with(tmp_path, capsys, json.dumps(state))
+            assert err == "error: bad state file: group 1: split key names a wildcard end\n"
+
+    def test_merged_group_with_merging_off(self, tmp_path, capsys):
+        # With merging off every group opens its own output node: group 2
+        # may not join output 1 once the saved merge_threshold is null.
+        dag = ParseDag(merge_threshold=0.5)
+        parse_all(dag, ["Send file now", "Send a file now"])
+        state = json.loads(dag.to_json())
+        assert [group["output"] for group in state["groups"]] == [1, 1]
+        state["merge_threshold"] = None
         err = self.resume_with(tmp_path, capsys, json.dumps(state))
-        assert err.startswith("error: bad state file: group 1: split key")
+        assert err == "error: bad state file: group 2: bad output 1\n"
+
+    @pytest.mark.parametrize("output", [1.0, True, 0, 2, None])
+    def test_output_not_the_own_id_as_an_int(self, tmp_path, capsys, output):
+        # A float or a boolean equal to the ID would be written as the output
+        # column, "1.0" or "True".
+        state = json.loads(self.saved_state(tmp_path))
+        state["groups"][0]["output"] = output
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert err == f"error: bad state file: group 1: bad output {output!r}\n"
 
     @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(st.lists(st.sampled_from(["Send", "file", "f1", "a,b"]), max_size=4)
@@ -471,7 +504,9 @@ class TestStateFiles:
         assert len(dag.outputs) == 1
         state = json.loads(dag.to_json())
         assert "merged" not in state
-        assert [len(group["threshold"]) for group in state["groups"]] == [2, 2]
+        assert [group["values"] for group in state["groups"]] == [["f1"], []]
+        assert all(sorted(group) == ["count", "event", "output", "values"]
+                   for group in state["groups"])
 
     def test_truncated_file(self, tmp_path, capsys):
         text = self.saved_state(tmp_path)

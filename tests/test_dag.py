@@ -400,6 +400,10 @@ def placement(dag):
             {output_id: ids(node.members) for output_id, node in dag.outputs.items()})
 
 
+def derived(group):
+    return group.key, group.threshold, group.st, group.first_message
+
+
 def assert_nodes_hold_the_registered_groups(dag):
     """Every group in a similarity node, a length node's pointer or an output
     node is the registry's object, so the wildcards ``update_group`` adds reach
@@ -441,6 +445,10 @@ class TestPlacement:
                 reloaded.parse_line(line_id, tokens)
             if line_id == split:
                 reloaded = ParseDag.from_json(reloaded.to_json())
+                # The load derives each key and threshold from the saved
+                # first message, as create_group derived them from the line.
+                assert [derived(g) for g in reloaded.groups.values()] == [
+                    derived(g) for g in live.groups.values()]
             assert placement(reloaded) == placement(live)
             assert_nodes_hold_the_registered_groups(live)
             assert_nodes_hold_the_registered_groups(reloaded)
@@ -501,9 +509,9 @@ class TestSnapshotAndState:
         parse_all(dag, ["", "a b"])
         assert dag.groups[1].st == 0.0
         state = json.loads(dag.to_json())
-        assert state["groups"][0] == {"count": 1, "event": [], "key": None, "output": 1,
-                                      "threshold": [0.0, 2]}
+        assert state["groups"][0] == {"count": 1, "event": [], "output": 1, "values": []}
         dag = ParseDag.from_json(dag.to_json())
+        assert (dag.groups[1].key, dag.groups[1].st) == (None, 0.0)
         assert dag.parse_line(3, []).group_id == 1
         assert dag.groups[1].count == 2 and len(dag.groups) == 2
 
