@@ -18,7 +18,8 @@ def main():
     dag = ParseDag()
     predicted = {}
     for line_id, line in enumerate(lines, start=1):
-        predicted[line_id] = dag.parse_line(line_id, line.split()).output_id
+        group, _ = dag.parse_line(line.split())
+        predicted[line_id] = group.output_id
 
     precision, recall, f = f_measure(pair_counts(predicted, truth))
     print(f"true templates: {len(templates)}  mined templates: {len(dag.snapshot_groups())}")

@@ -23,8 +23,8 @@ def main():
     dag = ParseDag()
     for line_id, raw in enumerate(LINES, start=1):
         content = apply_preprocess(RULES, raw)
-        record = dag.parse_line(line_id, tokenize(content))
-        print(f"line {record.line_id}: event {record.output_id}  {record.template_text}")
+        group, template = dag.parse_line(tokenize(content))
+        print(f"line {line_id}: event {group.output_id}  {template}")
 
     print("\nfinal template catalog:")
     for output_id, template, occurrences in dag.snapshot_groups():

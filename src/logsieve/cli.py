@@ -141,11 +141,12 @@ class RunStats:
 def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -> tuple[RunStats, ParseDag]:
     """Drive the parser over an iterable of raw lines.
 
-    Structured records are appended to the CSV as they are produced; the
-    template catalog and stats are written at end of stream. Memory stays
-    bounded by the graph size, not the input size. Line IDs continue from the
-    lines the given graph has already absorbed, so a resumed stream goes on
-    numbering where the saved one stopped.
+    Each parsed line's row (its line ID, its group's output ID and that
+    output's template as of the line) is appended to the structured CSV at
+    once; the template catalog and stats are written at end of stream.
+    Memory stays bounded by the graph size, not the input size. Line IDs
+    continue from the lines the given graph has already absorbed, so a
+    resumed stream goes on numbering where the saved one stopped.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,18 +186,18 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             line_id += 1
             if rules:
                 content = preprocess(rules, content)
-            record = parse_line(line_id, to_tokens(content))
-            text = record.template_text
-            cached = tails.get(record.output_id)
+            group, text = parse_line(to_tokens(content))
+            output_id = group.output_id
+            cached = tails.get(output_id)
             if cached is None or cached[0] is not text:
                 if "," in text or '"' in text:
                     buf.seek(0)
                     buf.truncate()
-                    tail_writer.writerow((record.output_id, text))
+                    tail_writer.writerow((output_id, text))
                     tail = buf.getvalue()
                 else:
-                    tail = f"{record.output_id},{text}\r\n"
-                cached = tails[record.output_id] = (text, tail)
+                    tail = f"{output_id},{text}\r\n"
+                cached = tails[output_id] = (text, tail)
             write(f"{line_id},{cached[1]}")
     stats.lines_parsed = line_id - first_id
     stats.cache_hits = dag.cache_hits - cache_hits_before
@@ -224,8 +225,8 @@ def _wildcards(dag: ParseDag) -> int:
 def run_eval(config: RunConfig, lines, out_dir, truth_path, dataset: str = "dataset"):
     """Parse the stream, score it against ground truth, write the report row.
 
-    The predicted partition is the OutputId column of the structured records,
-    final when emitted: a merge moves only a group not yet emitted."""
+    The predicted partition is the OutputId column of the structured CSV,
+    final when written: a merge moves only a group not yet written."""
     stats, _ = run_stream(config, lines, out_dir)
     truth = load_ground_truth(truth_path)
     out_dir = Path(out_dir)
@@ -365,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.input != "-":
                 with _open_input(args.input) as fh:
                     pool = [line.rstrip("\n") for line in fh if line.strip()]
+                if not pool:
+                    raise ValueError(f"{args.input}: no non-blank line to sample")
             run_bench(config, args.sizes, args.output_dir, pool_lines=pool, seed=args.seed,
                       n_templates=args.templates)
     except ValueError as exc:

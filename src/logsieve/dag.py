@@ -76,14 +76,6 @@ class LengthNode:
     cache: list[LogGroup] | None = None
 
 
-@dataclass(slots=True)
-class StructuredRecord:
-    line_id: int
-    group_id: int
-    output_id: int
-    template_text: str
-
-
 class ParseDag:
     """Online template miner over a stream of tokenized log messages."""
 
@@ -265,18 +257,18 @@ class ParseDag:
             node.template = node.text = None
         return replaced
 
-    def parse_line(self, line_id: int, tokens: list[str]) -> StructuredRecord:
-        """Match or create a group for one preprocessed, tokenized message."""
+    def parse_line(self, tokens: list[str]) -> tuple[LogGroup, str]:
+        """Match or create a group for one preprocessed, tokenized message;
+        return the group and its output template's text as of this message."""
         group, found = self.search(tokens)
         if group is None:  # ``found`` is the message's split key
             group = self.create_group(tokens, found)
         else:  # ``found`` is the score
             self.update_group(group, tokens, found)
-        output_id = group.output_id
-        text = self.outputs[output_id].text
+        text = self.outputs[group.output_id].text
         if text is None:
-            text = self.output_text(output_id)
-        return StructuredRecord(line_id, group.group_id, output_id, text)
+            text = self.output_text(group.output_id)
+        return group, text
 
     # -- reporting -------------------------------------------------------
 
@@ -312,27 +304,52 @@ class ParseDag:
 
     @classmethod
     def from_json(cls, text: str) -> "ParseDag":
-        """Rebuild a parser from ``to_json`` output: check the file, then replay
-        each saved group in ID order through ``_place``, the placement a new
+        """Rebuild a parser from ``to_json`` output: check each saved group,
+        then replay it in ID order through ``_place``, the placement a new
         group takes. A group's split key and threshold are its first message's,
         as ``create_group`` gives them, and ``eta`` is its event's wildcard
         count. Raises ValueError naming the first problem of any other input."""
-        state = _checked_state(text)
-        dag = cls(state["merge_threshold"])
-        for group_id, entry in enumerate(state["groups"], start=1):
-            event = entry["event"]
-            message = _first_message(event, entry["values"])
+        try:
+            state = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
+            raise ValueError(f"bad state file: not valid JSON ({exc})") from None
+        schema = state.get("schema") if isinstance(state, dict) else None
+        _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
+        _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
+        merge_threshold, groups = state["merge_threshold"], state["groups"]
+        _require(merge_threshold is None or type(merge_threshold) in (int, float), "bad settings")
+        _require(isinstance(groups, list), "bad groups")
+        dag = cls(merge_threshold)
+        for gid, group in enumerate(groups, start=1):
+            _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
+                     f"group {gid}: the keys must be {_GROUP_KEYS}")
+            count, event, out, values = (group[name] for name in _GROUP_KEYS)
+            _require(type(count) is int and count > 0 and _is_event(event),
+                     f"group {gid}: bad count or event")
+            _require(_is_event(values) and None not in values and len(values) == event.count(None),
+                     f"group {gid}: bad values")
+            fill = iter(values)
+            message = tuple(next(fill) if t is None else t for t in event)
+            # No line routed by a key can wildcard the end token the key names.
+            key = select_split_token(message)
+            _require(key is None or event[0 if key[0] == FIRST else -1] is not None,
+                     f"group {gid}: split key names a wildcard end")
+            # With merging off, every group opens its own output node.
+            _require(type(out) is int and (out == gid or merge_threshold is not None
+                                           and out in dag.outputs),
+                     f"group {gid}: bad output {out!r}")
             threshold = new_threshold_state(message)
-            threshold.eta = event.count(None)
-            dag._place(LogGroup(group_id, event, entry["count"], threshold, entry["output"],
-                                select_split_token(message), message))
+            threshold.eta = len(values)
+            dag._place(LogGroup(gid, event, count, threshold, out, key, message))
         return dag
 
 
 def check_merge_threshold(merge_threshold: float | None) -> None:
-    """Raise ConfigError unless the threshold is None (merging off) or in
-    (0, 1]; a resumed run must match the saved threshold, which a NaN never does."""
-    if merge_threshold is not None and not 0.0 < merge_threshold <= 1.0:
+    """Raise ConfigError unless the threshold is None (merging off) or an int
+    or float in (0, 1]; a resumed run must match the saved threshold, which a
+    NaN never does, and a saved bool would not load."""
+    if merge_threshold is not None and not (type(merge_threshold) in (int, float)
+                                            and 0.0 < merge_threshold <= 1.0):
         raise ConfigError("merge_threshold must be in (0, 1]")
 
 
@@ -359,40 +376,3 @@ def _is_event(value) -> bool:
     # Tokens as str.split gives them: the structured CSV quotes only , and ".
     return isinstance(value, list) and all(t is None or type(t) is str and t.split() == [t]
                                            for t in value)
-
-
-def _first_message(event: list[Token], values: list[str]) -> tuple[str, ...]:
-    """The event with its wildcards filled, in order, from ``values``."""
-    fill = iter(values)
-    return tuple(next(fill) if t is None else t for t in event)
-
-
-def _checked_state(text: str) -> dict:
-    """Parse a v8 state, checking its keys, types and cross-references."""
-    try:
-        state = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
-        raise ValueError(f"bad state file: not valid JSON ({exc})") from None
-    schema = state.get("schema") if isinstance(state, dict) else None
-    _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
-    _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
-    merge_threshold, groups = state["merge_threshold"], state["groups"]
-    _require(merge_threshold is None or type(merge_threshold) in (int, float), "bad settings")
-    _require(isinstance(groups, list), "bad groups")
-    for gid, group in enumerate(groups, start=1):
-        _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
-                 f"group {gid}: the keys must be {_GROUP_KEYS}")
-        event, values, out = group["event"], group["values"], group["output"]
-        _require(type(group["count"]) is int and group["count"] > 0 and _is_event(event),
-                 f"group {gid}: bad count or event")
-        _require(_is_event(values) and None not in values and len(values) == event.count(None),
-                 f"group {gid}: bad values")
-        # No line routed by a key can wildcard the end token the key names.
-        key = select_split_token(_first_message(event, values))
-        _require(key is None or event[0 if key[0] == FIRST else -1] is not None,
-                 f"group {gid}: split key names a wildcard end")
-        # With merging off, every group opens its own output node.
-        _require(type(out) is int and (out == gid or merge_threshold is not None and 0 < out < gid
-                                       and groups[out - 1]["output"] == out),
-                 f"group {gid}: bad output {out!r}")
-    return state

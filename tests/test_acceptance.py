@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import csv
 import random
 import time
 from collections import Counter
@@ -85,14 +86,14 @@ def test_criterion_2_split_token_branch_table():
 def test_criterion_3_worked_traces():
     # template update trace
     dag = ParseDag()
-    dag.parse_line(1, ["Send", "file", "file_01"])
-    rec = dag.parse_line(2, ["Send", "file", "file_02"])
-    assert rec.template_text == "Send file *"
+    dag.parse_line(["Send", "file", "file_01"])
+    _, text = dag.parse_line(["Send", "file", "file_02"])
+    assert text == "Send file *"
     assert dag.groups[1].threshold.eta == 1
 
     # graph-growth walk for a brand-new length/token path
     dag = ParseDag()
-    dag.parse_line(1, ["Open", "user", "info", "user007", "now"])
+    dag.parse_line(["Open", "user", "info", "user007", "now"])
     node = dag.length_nodes[5]
     assert list(node.split_nodes) == [(FIRST, "Open")]
     assert render_template(dag.groups[1].event) == "Open user info user007 now"
@@ -136,8 +137,8 @@ def test_criterion_5_cache_equivalence():
         templates = synth.make_templates(rng, n_templates)
         lines, _ = synth.make_stream(rng, templates, n_lines)
         dag, reference = ParseDag(), ScanOnlyDag()
-        a = [dag.parse_line(i, l.split()) for i, l in enumerate(lines, 1)]
-        b = [reference.parse_line(i, l.split()) for i, l in enumerate(lines, 1)]
+        a = [dag.parse_line(l.split()) for l in lines]
+        b = [reference.parse_line(l.split()) for l in lines]
         assert a == b, f"divergence on trial {trial}"
     _ok("criterion 5: fast path equals the full scan, line by line (50 streams)")
 
@@ -151,7 +152,7 @@ def test_criterion_6_synthetic_accuracy(n_templates):
     dag = ParseDag()
     predicted = {}
     for i, line in enumerate(lines, start=1):
-        predicted[i] = dag.parse_line(i, line.split()).output_id
+        predicted[i] = dag.parse_line(line.split())[0].output_id
     _, _, f = f_measure(pair_counts(predicted, truth))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -196,19 +197,19 @@ def test_criterion_7_scan_work_flat(tmp_path, monkeypatch):
         f"per line at 10k and 160k lines, {groups[sizes[-1]]} groups")
 
 
-def test_criterion_8_invariant_suite():
+def test_criterion_8_invariant_suite(tmp_path):
     start = time.perf_counter()
     rng = random.Random(77)
-    for _ in range(10):
+    for stream in range(10):
         templates = synth.make_templates(rng, rng.randint(5, 25))
         n_lines = rng.randint(200, 1500)
         lines, _ = synth.make_stream(rng, templates, n_lines)
         dag = ParseDag()
         prev = {}
-        records = []
-        for i, line in enumerate(lines, start=1):
-            records.append(dag.parse_line(i, line.split()))
-            group = dag.groups[records[-1].group_id]
+        output_ids = []
+        for line in lines:
+            group, _ = dag.parse_line(line.split())
+            output_ids.append(group.output_id)
             if group.group_id in prev:
                 old_event, old_eta = prev[group.group_id]
                 # literal -> wildcard only, eta never decreases
@@ -219,13 +220,19 @@ def test_criterion_8_invariant_suite():
             assert current_st(group.threshold) <= 1.0 + 1e-12
             prev[group.group_id] = (list(group.event), group.threshold.eta)
 
-        # partition totality: one record per line, each in a snapshot node
-        # whose occurrences count exactly its records
+        # partition totality: one output per line, each a snapshot node
+        # whose occurrences count exactly its lines
         snapshot = dag.snapshot_groups()
-        assert [r.line_id for r in records] == list(range(1, n_lines + 1))
-        assert all(r.output_id in {oid for oid, _, _ in snapshot} for r in records)
+        assert all(oid in {oid for oid, _, _ in snapshot} for oid in output_ids)
         assert sum(occ for _, _, occ in snapshot) == n_lines
-        assert dict(Counter(r.output_id for r in records)) == {oid: occ for oid, _, occ in snapshot}
+        assert dict(Counter(output_ids)) == {oid: occ for oid, _, occ in snapshot}
+        # the stream driver writes one row per line, with line IDs 1..N
+        out_dir = tmp_path / f"stream_{stream}"
+        run_stream(RunConfig(), lines, out_dir)
+        with open(out_dir / "structured.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == list(range(1, n_lines + 1))
+        assert [int(row[1]) for row in rows] == output_ids
 
         # fixed depth: every group reachable by exactly length -> key -> list
         for length, node in dag.length_nodes.items():
@@ -235,8 +242,8 @@ def test_criterion_8_invariant_suite():
 
         # determinism of the snapshot
         replay = ParseDag()
-        for i, line in enumerate(lines, start=1):
-            replay.parse_line(i, line.split())
+        for line in lines:
+            replay.parse_line(line.split())
         assert replay.snapshot_groups() == dag.snapshot_groups()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -290,9 +291,10 @@ class TestMainCli:
     @pytest.mark.parametrize("argv", [
         [], ["frobnicate"], ["parse", "--bogus"], ["eval"],
         ["bench", "--sizes", "10", "--seed", "x"], ["bench"], ["bench", "--sizes=-5,0"],
-        ["bench", "--sizes", ","],
+        ["bench", "--sizes", ","], ["bench", "--sizes", "10", "--input", os.devnull],
     ], ids=["no-command", "unknown-command", "unknown-option", "eval-without-truth",
-            "seed-not-int", "bench-without-sizes", "sizes-below-one", "sizes-none"])
+            "seed-not-int", "bench-without-sizes", "sizes-below-one", "sizes-none",
+            "bench-input-empty"])
     def test_bad_command_line_is_one_line_usage_error(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -491,16 +493,16 @@ class TestStateFiles:
            threshold=st.sampled_from([None, 0.5, 0.9]))
     def test_state_holds_only_settings_and_groups(self, lines, threshold):
         dag = ParseDag(merge_threshold=threshold)
-        for line_id, line in enumerate(lines, start=1):
-            dag.parse_line(line_id, tokenize(line))
+        for line in lines:
+            dag.parse_line(tokenize(line))
         state = json.loads(dag.to_json())
         assert sorted(state) == ["groups", "merge_threshold", "schema"]
         assert len(state["groups"]) == len(dag.groups)
 
     def test_state_holds_no_merged_templates_or_wildcard_counts(self):
         dag = ParseDag(merge_threshold=0.5)
-        for line_id, line in enumerate(["Send file f1", "Send file f2", "Send file f2 now"], 1):
-            dag.parse_line(line_id, line.split())
+        for line in ["Send file f1", "Send file f2", "Send file f2 now"]:
+            dag.parse_line(line.split())
         assert len(dag.outputs) == 1
         state = json.loads(dag.to_json())
         assert "merged" not in state
@@ -622,8 +624,8 @@ class TestStructuredRows:
         for line_id, line in enumerate(lines, start=1):
             if line_id == split + 1:
                 dag = ScanOnlyDag.from_json(dag.to_json())
-            record = dag.parse_line(line_id, tokenize(line))
-            writer.writerow([record.line_id, record.output_id, record.template_text])
+            group, text = dag.parse_line(tokenize(line))
+            writer.writerow([line_id, group.output_id, text])
         assert got == expected.getvalue().encode("utf-8")
 
 
@@ -644,7 +646,7 @@ class TestStructuredRowEncoding:
         dag = ParseDag(merge_threshold=threshold)
         assert len(rows) == len(lines) + 2 and rows[-1] == b""
         for line_id, (line, row) in enumerate(zip(lines, rows[1:]), start=1):
-            record = dag.parse_line(line_id, tokenize(line))
+            group, text = dag.parse_line(tokenize(line))
             expected = io.StringIO()
-            csv.writer(expected).writerow((record.line_id, record.output_id, record.template_text))
+            csv.writer(expected).writerow((line_id, group.output_id, text))
             assert row + b"\r\n" == expected.getvalue().encode("utf-8")

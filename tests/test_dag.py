@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from collections import Counter
@@ -7,48 +8,49 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
+from logsieve.cli import RunConfig, run_stream
 from logsieve.dag import ParseDag, render_template
-from logsieve.preprocess import select_split_token
+from logsieve.preprocess import ConfigError, select_split_token
 from logsieve.similarity import WILDCARD, current_st, sim_seq
 from logsieve import synth
 from test_similarity import dp_lcs
 
 
 def parse_all(dag, lines):
-    return [dag.parse_line(i, line.split()) for i, line in enumerate(lines, start=1)]
+    return [dag.parse_line(line.split()) for line in lines]
 
 
 class ScanOnlyDag(ParseDag):
     """The reference search: every length-node pointer is cleared before each
     line, so the fast path never runs and every line takes the full scan."""
 
-    def parse_line(self, line_id, tokens):
+    def parse_line(self, tokens):
         for node in self.length_nodes.values():
             node.cache = None
-        return super().parse_line(line_id, tokens)
+        return super().parse_line(tokens)
 
 
 class TestParseLine:
     def test_first_message_creates_group(self):
         dag = ParseDag()
-        rec = dag.parse_line(1, ["Send", "file", "file_01"])
-        assert rec.line_id == 1
-        assert rec.template_text == "Send file file_01"
+        group, text = dag.parse_line(["Send", "file", "file_01"])
+        assert group is dag.groups[1]
+        assert text == "Send file file_01"
 
     def test_second_message_wildcards_the_variable(self):
         dag = ParseDag()
-        dag.parse_line(1, ["Send", "file", "file_01"])
-        rec = dag.parse_line(2, ["Send", "file", "file_02"])
-        assert rec.group_id == 1
-        assert rec.template_text == "Send file *"
+        dag.parse_line(["Send", "file", "file_01"])
+        group, text = dag.parse_line(["Send", "file", "file_02"])
+        assert group.group_id == 1
+        assert text == "Send file *"
         assert dag.groups[1].threshold.eta == 1
 
     def test_distinct_split_key_creates_new_group(self):
         dag = ParseDag()
-        dag.parse_line(1, ["Send", "file", "file_01"])
-        dag.parse_line(2, ["Send", "file", "file_02"])
-        rec = dag.parse_line(3, ["Open", "user", "info"])
-        assert rec.group_id == 2
+        dag.parse_line(["Send", "file", "file_01"])
+        dag.parse_line(["Send", "file", "file_02"])
+        group, _ = dag.parse_line(["Open", "user", "info"])
+        assert group.group_id == 2
         assert dag.snapshot_groups() == [
             (1, "Send file *", 2),
             (2, "Open user info", 1),
@@ -56,50 +58,50 @@ class TestParseLine:
 
     def test_dag_growth_walkthrough(self):
         dag = ParseDag()
-        dag.parse_line(1, ["Open", "user", "info", "user007", "now"])
+        dag.parse_line(["Open", "user", "info", "user007", "now"])
         assert 5 in dag.length_nodes
         assert ("first", "Open") in dag.length_nodes[5].split_nodes
         # second distinct event under the same token node joins the same list
-        dag.parse_line(2, ["Open", "admin", "panel", "adm01", "later"])
+        dag.parse_line(["Open", "admin", "panel", "adm01", "later"])
         assert len(dag.length_nodes[5].split_nodes[("first", "Open")]) >= 1
 
     def test_digit_ends_route_to_none_key(self):
         dag = ParseDag()
-        dag.parse_line(1, ["v1.2", "9000"])
+        dag.parse_line(["v1.2", "9000"])
         assert None in dag.length_nodes[2].split_nodes
 
     def test_empty_message_goes_to_catch_all_group(self):
         dag = ParseDag()
-        r1 = dag.parse_line(1, [])
-        r2 = dag.parse_line(2, [])
-        assert r1.group_id == r2.group_id
-        assert r1.template_text == ""
+        g1, text = dag.parse_line([])
+        g2, _ = dag.parse_line([])
+        assert g1.group_id == g2.group_id
+        assert text == ""
 
 
 class TestMatchGroup:
     def test_fewest_wildcards_tie_break(self):
         # Two groups share the node, so the fast path leaves it to the scan.
         for dag in (ParseDag(), ScanOnlyDag()):
-            dag.parse_line(1, ["Send", "file", "a1"])
-            dag.parse_line(2, ["Send", "file", "b2"])   # -> Send file *
-            dag.parse_line(3, ["Send", "mail", "c3"])
+            dag.parse_line(["Send", "file", "a1"])
+            dag.parse_line(["Send", "file", "b2"])   # -> Send file *
+            dag.parse_line(["Send", "mail", "c3"])
             # widen the second group so both candidates score 1.0
             dag.groups[2].event = ["Send", WILDCARD, WILDCARD]
-            rec = dag.parse_line(5, ["Send", "file", "x9"])
-            assert rec.group_id == 1  # both score 1.0; fewer wildcards wins
+            group, _ = dag.parse_line(["Send", "file", "x9"])
+            assert group.group_id == 1  # both score 1.0; fewer wildcards wins
 
     def test_threshold_rejects_dissimilar(self):
         dag = ParseDag()
-        dag.parse_line(1, ["alpha", "beta", "gamma"])
-        rec = dag.parse_line(2, ["alpha", "xx", "yy"])
+        dag.parse_line(["alpha", "beta", "gamma"])
+        group, _ = dag.parse_line(["alpha", "xx", "yy"])
         # sim 1/3 < st 0.5 -> new group despite shared split token
-        assert rec.group_id == 2
+        assert group.group_id == 2
 
     def test_exact_match_always_accepted(self):
         dag = ParseDag()
-        dag.parse_line(1, ["a", "b", "c"])
-        rec = dag.parse_line(2, ["a", "b", "c"])
-        assert rec.group_id == 1
+        dag.parse_line(["a", "b", "c"])
+        group, _ = dag.parse_line(["a", "b", "c"])
+        assert group.group_id == 1
 
     def test_capped_best_candidate_leaves_the_line_to_one_that_accepts(self):
         # No token holds a digit, so one wildcard caps group 1 at st 1.0. Line
@@ -107,9 +109,9 @@ class TestMatchGroup:
         # its st 0.5: group 2 takes the line and no group is created.
         dag = ParseDag()
         records = parse_all(dag, ["svc a a a", "svc b a a", "svc a b b"])
-        assert [r.group_id for r in records] == [1, 1, 2]
+        assert [g.group_id for g, _ in records] == [1, 1, 2]
         assert dag.groups[1].st == 1.0 and dag.groups[2].st == 0.5
-        assert dag.parse_line(4, ["svc", "c", "a", "b"]).group_id == 2
+        assert dag.parse_line(["svc", "c", "a", "b"])[0].group_id == 2
         assert len(dag.groups) == 2
 
 
@@ -140,14 +142,14 @@ class TestAcceptAwareSearch:
            dag_class=st.sampled_from([ParseDag, ScanOnlyDag]))
     def test_no_group_created_while_one_accepts(self, messages, dag_class):
         dag = dag_class()
-        for line_id, tokens in enumerate(messages, start=1):
+        for tokens in messages:
             expected = brute_force_search(dag, tokens)
             n_groups = len(dag.groups)
-            record = dag.parse_line(line_id, tokens)
+            group, _ = dag.parse_line(tokens)
             if expected is None:
-                assert record.group_id == n_groups + 1
+                assert group.group_id == n_groups + 1
             else:
-                assert record.group_id == expected and len(dag.groups) == n_groups
+                assert group.group_id == expected and len(dag.groups) == n_groups
 
     def test_groups_plateau_when_variables_hold_no_digit(self, monkeypatch):
         # Four templates: "service", six slots, "tail" + a letter. A slot is
@@ -165,7 +167,7 @@ class TestAcceptAwareSearch:
         seen = {}  # lines -> (groups, sim_seq calls per line)
         for line_id in range(1, 8001):
             template = rng.choice(templates)
-            dag.parse_line(line_id, [rng.choice(words) if t is None else t for t in template])
+            dag.parse_line([rng.choice(words) if t is None else t for t in template])
             if line_id in (4000, 8000):
                 seen[line_id] = (len(dag.groups), len(calls) / line_id)
         assert seen[8000][0] == seen[4000][0]
@@ -189,7 +191,7 @@ class TestCache:
             if line_id == split + 1:
                 dag = ParseDag.from_json(dag.to_json())
                 reference = ScanOnlyDag.from_json(reference.to_json())
-            assert dag.parse_line(line_id, tokens) == reference.parse_line(line_id, tokens)
+            assert dag.parse_line(tokens) == reference.parse_line(tokens)
         assert dag.snapshot_groups() == reference.snapshot_groups()
         assert dag.to_json() == reference.to_json()
 
@@ -197,20 +199,20 @@ class TestCache:
         # Line 2's ends equal group 1's literal ends, so the fast path decides
         # it; line 3 wildcards an end, so line 4 takes the scan to the same group.
         dag = ParseDag()
-        dag.parse_line(1, ["Send", "a1", "b2", "now"])
-        assert dag.parse_line(2, ["Send", "a1", "b2", "now"]).group_id == 1
+        dag.parse_line(["Send", "a1", "b2", "now"])
+        assert dag.parse_line(["Send", "a1", "b2", "now"])[0].group_id == 1
         assert dag.cache_hits == 1
-        assert dag.parse_line(3, ["Send", "a1", "b2", "later"]).group_id == 1
+        assert dag.parse_line(["Send", "a1", "b2", "later"])[0].group_id == 1
         assert dag.groups[1].event == ["Send", "a1", "b2", WILDCARD]
-        assert dag.parse_line(4, ["Send", "a1", "b2", "now"]).group_id == 1
+        assert dag.parse_line(["Send", "a1", "b2", "now"])[0].group_id == 1
         assert dag.cache_hits == 1
 
     def test_cache_miss_falls_back_to_search(self):
         dag = ParseDag()
-        dag.parse_line(1, ["aaa", "bbb", "ccc"])
-        dag.parse_line(2, ["ddd", "eee", "fff"])
-        rec = dag.parse_line(3, ["aaa", "bbb", "ccc"])
-        assert rec.group_id == 1
+        dag.parse_line(["aaa", "bbb", "ccc"])
+        dag.parse_line(["ddd", "eee", "fff"])
+        group, _ = dag.parse_line(["aaa", "bbb", "ccc"])
+        assert group.group_id == 1
 
     def test_assignments_identical_with_and_without_cache(self):
         rng = random.Random(7)
@@ -255,23 +257,23 @@ _MESSAGE = st.lists(st.sampled_from(["a", "b", "c", "a1", "2"]), max_size=6)
 class TestMerge:
     def test_merge_similar_templates(self):
         dag = ParseDag(merge_threshold=0.45)
-        dag.parse_line(1, ["Send", "file"])
-        rec = dag.parse_line(2, ["Send", "a", "file"])
-        assert rec.output_id == 1
+        dag.parse_line(["Send", "file"])
+        group, _ = dag.parse_line(["Send", "a", "file"])
+        assert group.output_id == 1
         assert render_template(dag.output_template(1)) == "Send file"
         assert len(dag.outputs) == 1
 
     def test_mt_one_never_merges(self):
         dag = ParseDag(merge_threshold=1.0)
-        dag.parse_line(1, ["Send", "file"])
-        rec = dag.parse_line(2, ["Send", "a", "file"])
-        assert rec.output_id != 1
+        dag.parse_line(["Send", "file"])
+        group, _ = dag.parse_line(["Send", "a", "file"])
+        assert group.output_id != 1
 
     def test_over_parsed_family_converges(self):
         dag = ParseDag(merge_threshold=0.95)
-        dag.parse_line(1, ["Send", "file"])
-        dag.parse_line(2, ["Send", "file", "file_01"])
-        dag.parse_line(3, ["Send", "big", "file", "file_01"])
+        dag.parse_line(["Send", "file"])
+        dag.parse_line(["Send", "file", "file_01"])
+        dag.parse_line(["Send", "big", "file", "file_01"])
         assert len(dag.outputs) == 1
         merged = dag.output_template(1)
         assert merged == ["Send", "file"]
@@ -282,8 +284,8 @@ class TestMerge:
         dag = ParseDag(merge_threshold=0.7)
         records = parse_all(dag, ["send pkt alpha to host", "send pkt alpha to host now",
                                   "send pkt beta to host"])
-        assert [r.output_id for r in records] == [1, 1, 1]
-        assert records[2].template_text == "send pkt to host"
+        assert [g.output_id for g, _ in records] == [1, 1, 1]
+        assert records[2][1] == "send pkt to host"
         assert dag.snapshot_groups() == [(1, "send pkt to host", 3)]
 
     def test_members_sharing_no_literal_render_empty(self):
@@ -291,14 +293,23 @@ class TestMerge:
         # literal; the empty template is never a merge candidate.
         dag = ParseDag(merge_threshold=0.3)
         records = parse_all(dag, ["n1 a a", "n1", "n2", "svc a"])
-        assert [r.template_text for r in records] == ["n1 a a", "n1", "", "svc a"]
-        assert [r.output_id for r in records] == [1, 1, 1, 3]
+        assert [text for _, text in records] == ["n1 a a", "n1", "", "svc a"]
+        assert [g.output_id for g, _ in records] == [1, 1, 1, 3]
 
     def test_threshold_must_be_in_range(self):
         # A NaN is rejected too: a saved NaN could never match on resume.
         for outside in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 ParseDag(merge_threshold=outside)
+
+    def test_threshold_must_be_an_int_or_float(self):
+        # A bool would be saved as JSON true, which a load rejects; every
+        # threshold the constructor takes loads back.
+        for not_a_number in (True, "0.5"):
+            with pytest.raises(ConfigError):
+                ParseDag(merge_threshold=not_a_number)
+        for threshold in (None, 0.5, 1):
+            assert ParseDag.from_json(ParseDag(threshold).to_json()).merge_threshold == threshold
 
     @settings(max_examples=300, deadline=None)
     @given(messages=st.lists(_MESSAGE, max_size=40),
@@ -319,9 +330,9 @@ class TestMerge:
         parse_all(dag, ["a a a1", "b a1 a b a1 a"])
         assert dag.output_template(1) == ["a", "a"]
         dag = ParseDag.from_json(dag.to_json())
-        dag.parse_line(3, ["b", "a1", "b", "a", "a", "b"])
+        dag.parse_line(["b", "a1", "b", "a", "a", "b"])
         assert dag.output_template(1) == ["a1"]
-        assert dag.parse_line(4, ["a1"]).output_id == 1
+        assert dag.parse_line(["a1"])[0].output_id == 1
 
     def test_literals_counted_once_per_created_group(self, monkeypatch):
         # Groups 1, 2 and 4 open their own nodes and group 3 merges into 1;
@@ -333,7 +344,7 @@ class TestMerge:
         dag = ParseDag(merge_threshold=0.6)
         records = parse_all(dag, ["send pkt to host", "open port now", "send pkt to host now",
                                   "", "send pkt to host"])
-        assert [r.output_id for r in records] == [1, 2, 1, 4, 1]
+        assert [g.output_id for g, _ in records] == [1, 2, 1, 4, 1]
         assert calls == [["send", "pkt", "to", "host"], ["open", "port", "now"],
                          ["send", "pkt", "to", "host", "now"], []]
 
@@ -342,11 +353,11 @@ class TestMerge:
         real = logsieve.dag.tem_sim
         monkeypatch.setattr(logsieve.dag, "tem_sim", lambda a, b: calls.append(b) or real(a, b))
         dag = ParseDag(merge_threshold=0.5)
-        dag.parse_line(1, ["Send", "file", "now"])
-        dag.parse_line(2, ["open", "port", "later"])
+        dag.parse_line(["Send", "file", "now"])
+        dag.parse_line(["open", "port", "later"])
         assert calls == [] and len(dag.outputs) == 2
-        rec = dag.parse_line(3, ["Send", "file", "x", "y"])
-        assert calls == [["Send", "file", "now"]] and rec.output_id == 1
+        group, _ = dag.parse_line(["Send", "file", "x", "y"])
+        assert calls == [["Send", "file", "now"]] and group.output_id == 1
 
 
 # Shared head words and digit-bearing end tokens: lines share lengths and
@@ -375,9 +386,9 @@ class TestDerivedState:
         for line_id, tokens in enumerate(messages, start=1):
             if line_id == split + 1:
                 dag = dag_class.from_json(dag.to_json())
-            record = dag.parse_line(line_id, tokens)
-            assert record.template_text == render_template(dag.output_template(record.output_id))
-            assert sim_seq(tokens, dag.groups[record.group_id].event) == 1.0
+            group, text = dag.parse_line(tokens)
+            assert text == render_template(dag.output_template(group.output_id))
+            assert sim_seq(tokens, dag.groups[group.group_id].event) == 1.0
             for group in dag.groups.values():
                 assert group.st == current_st(group.threshold)
                 assert group.threshold.eta == group.event.count(None)
@@ -441,8 +452,8 @@ class TestPlacement:
         live, reloaded = ParseDag(threshold), ParseDag(threshold)
         for line_id, tokens in enumerate([None, *messages]):
             if line_id:
-                live.parse_line(line_id, tokens)
-                reloaded.parse_line(line_id, tokens)
+                live.parse_line(tokens)
+                reloaded.parse_line(tokens)
             if line_id == split:
                 reloaded = ParseDag.from_json(reloaded.to_json())
                 # The load derives each key and threshold from the saved
@@ -481,7 +492,7 @@ class TestSnapshotAndState:
 
     def test_single_message_snapshot(self):
         dag = ParseDag()
-        dag.parse_line(1, ["hello", "world", "x"])
+        dag.parse_line(["hello", "world", "x"])
         assert dag.snapshot_groups() == [(1, "hello world x", 1)]
 
     def test_state_roundtrip_continues_identically(self):
@@ -494,11 +505,9 @@ class TestSnapshotAndState:
         parse_all(straight, lines)
 
         first = ParseDag()
-        for i, line in enumerate(head, start=1):
-            first.parse_line(i, line.split())
+        parse_all(first, head)
         resumed = ParseDag.from_json(first.to_json())
-        for i, line in enumerate(tail, start=201):
-            resumed.parse_line(i, line.split())
+        parse_all(resumed, tail)
 
         assert resumed.snapshot_groups() == straight.snapshot_groups()
 
@@ -512,7 +521,7 @@ class TestSnapshotAndState:
         assert state["groups"][0] == {"count": 1, "event": [], "output": 1, "values": []}
         dag = ParseDag.from_json(dag.to_json())
         assert (dag.groups[1].key, dag.groups[1].st) == (None, 0.0)
-        assert dag.parse_line(3, []).group_id == 1
+        assert dag.parse_line([])[0].group_id == 1
         assert dag.groups[1].count == 2 and len(dag.groups) == 2
 
     def test_empty_messages_parse_alike_with_merging_on_and_off(self):
@@ -525,7 +534,7 @@ class TestSnapshotAndState:
             records = parse_all(dag, ["", "a b", ""])
             assert dag.merge_index == ({} if threshold is None else {"a": {2: 1}, "b": {2: 1}})
             dag = ParseDag.from_json(dag.to_json())
-            records.append(dag.parse_line(4, []))
+            records.append(dag.parse_line([]))
             state = json.loads(dag.to_json())
             assert state.pop("merge_threshold") == threshold
             runs.append((records, dag.snapshot_groups(), state))
@@ -549,25 +558,30 @@ class TestSnapshotAndState:
 
 
 class TestInvariants:
-    def test_partition_totality_and_monotone_templates(self):
+    def test_partition_totality_and_monotone_templates(self, tmp_path):
         rng = random.Random(11)
         templates = synth.make_templates(rng, 15)
         lines, _ = synth.make_stream(rng, templates, 1000)
         dag = ParseDag()
         prev_events = {}
-        records = []
-        for i, line in enumerate(lines, start=1):
-            records.append(dag.parse_line(i, line.split()))
+        output_ids = []
+        for line in lines:
+            output_ids.append(dag.parse_line(line.split())[0].output_id)
             for gid, g in dag.groups.items():
                 if gid in prev_events:
                     for old, new in zip(prev_events[gid], g.event):
                         if old is WILDCARD:
                             assert new is WILDCARD  # wildcard never reverts
                 prev_events[gid] = list(g.event)
-        assert [r.line_id for r in records] == list(range(1, 1001))
-        assert dict(Counter(r.output_id for r in records)) == {
+        assert dict(Counter(output_ids)) == {
             oid: occ for oid, _, occ in dag.snapshot_groups()
         }
+        # The stream driver numbers the lines: one row per line, IDs 1..N.
+        run_stream(RunConfig(), lines, tmp_path)
+        with open(tmp_path / "structured.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == list(range(1, 1001))
+        assert [int(row[1]) for row in rows] == output_ids
 
     def test_groups_share_length_within_node(self):
         rng = random.Random(5)
