@@ -258,11 +258,13 @@ def run_bench(
 
     Each size runs BENCH_ROUNDS times, the sizes taking turns round-robin so a
     slow phase of the machine slows every size alike; a size's time is the
-    median of its runs."""
+    median of its runs. An empty pool raises ValueError."""
     rng = random.Random(seed)
     if pool_lines is None:
         templates = synth.make_templates(rng, n_templates)
         pool_lines, _ = synth.make_stream(rng, templates, 10_000)
+    elif not pool_lines:
+        raise ValueError("the bench input has no non-blank line to sample")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples = [(size, rng.choices(pool_lines, k=size)) for size in sizes]
@@ -366,8 +368,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.input != "-":
                 with _open_input(args.input) as fh:
                     pool = [line.rstrip("\n") for line in fh if line.strip()]
-                if not pool:
-                    raise ValueError(f"{args.input}: no non-blank line to sample")
             run_bench(config, args.sizes, args.output_dir, pool_lines=pool, seed=args.seed,
                       n_templates=args.templates)
     except ValueError as exc:

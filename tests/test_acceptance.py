@@ -223,7 +223,7 @@ def test_criterion_8_invariant_suite(tmp_path):
         # partition totality: one output per line, each a snapshot node
         # whose occurrences count exactly its lines
         snapshot = dag.snapshot_groups()
-        assert all(oid in {oid for oid, _, _ in snapshot} for oid in output_ids)
+        assert set(output_ids) <= {oid for oid, _, _ in snapshot}
         assert sum(occ for _, _, occ in snapshot) == n_lines
         assert dict(Counter(output_ids)) == {oid: occ for oid, _, occ in snapshot}
         # the stream driver writes one row per line, with line IDs 1..N

@@ -178,6 +178,10 @@ class TestRunBench:
     def test_empty_sizes(self, tmp_path):
         assert run_bench(RunConfig(), [], tmp_path) == []
 
+    def test_empty_pool(self, tmp_path):
+        with pytest.raises(ValueError, match="no non-blank line"):
+            run_bench(RunConfig(), [10], tmp_path, pool_lines=[])
+
 
 class TestMainCli:
     def test_parse_roundtrip(self, tmp_path, capsys):
