@@ -4,7 +4,8 @@ and output nodes, mutated one message at a time.
 Traversal per message: length node (token count) -> token node (split key) ->
 similarity node (candidate groups) -> output node (final template). The nodes
 hold the groups themselves; ``groups`` lists them by ID. Each length node also
-keeps its last used similarity node for an exact fast path.
+maps the end tokens of each group's first message to that group's similarity
+node, an exact memo of the route.
 The groups are the only primary state, and ``_place`` enters a group in every
 node: a load replays each saved group through the placement a new group takes.
 A group keeps its first message, from which its split key and its threshold's
@@ -72,8 +73,9 @@ class OutputNode:
 class LengthNode:
     # split key -> creation-ordered groups (the similarity node)
     split_nodes: dict[SplitKey, list[LogGroup]] = field(default_factory=dict)
-    # The similarity node of the last match or creation here; not serialized.
-    cache: list[LogGroup] | None = None
+    # (first, last) token of a group's first message -> the group's similarity
+    # node, the same list object; derived by ``_place``, never serialized.
+    ends: dict[tuple[str, str], list[LogGroup]] = field(default_factory=dict)
 
 
 class ParseDag:
@@ -90,7 +92,7 @@ class ParseDag:
         # event when it was placed; they stay upper bounds, as a template is
         # a subsequence of that event, whose literals only shrink.
         self.merge_index: dict[str, dict[int, int]] = {}
-        self.cache_hits = 0  # lines the fast path accepted
+        self.cache_hits = 0  # lines the ends memo routed
 
     # -- rendering -------------------------------------------------------
 
@@ -122,32 +124,30 @@ class ParseDag:
         fewest wildcards, then earliest creation. The paper tests only the
         best candidate, whose cap can turn away what a younger group accepts.
 
-        Fast path: the length node keeps the similarity node it last used.
-        The split key reads only the two end tokens, and a literal end of an
-        event is its first message's, so a message whose ends equal a group's
-        literal ends routes to that group's node. When that node holds this
-        one group, the group alone decides, as the full scan would, and on a
-        miss the message's key is that group's. An empty message has no ends
-        and takes the scan.
+        Memo: the split key reads only the two end tokens, so a message whose
+        ends a group's first message had routes to that group's node without
+        choosing a key. Unseen ends and the empty message route by split key.
+        A node's groups share its key, so on a miss the message's key is the
+        first one's. A node of one group leaves the decision to that group,
+        as the scan would.
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
             return None, select_split_token(tokens)
-        groups = length_node.cache
-        if tokens and groups is not None and len(groups) == 1:
+        groups = length_node.ends.get((tokens[0], tokens[-1])) if tokens else None
+        if groups is not None:
+            self.cache_hits += 1
+        else:
+            key = select_split_token(tokens)
+            groups = length_node.split_nodes.get(key)
+            if groups is None:
+                return None, key
+        if len(groups) == 1:
             group = groups[0]
-            event = group.event
-            # A wildcard (None) never equals a message token.
-            if tokens[0] == event[0] and tokens[-1] == event[-1]:
-                score = sim_seq(tokens, event)
-                if score < group.st:
-                    return None, group.key
-                self.cache_hits += 1
-                return group, score
-        key = select_split_token(tokens)
-        groups = length_node.split_nodes.get(key)
-        if groups is None:
-            return None, key
+            score = sim_seq(tokens, group.event)
+            if score < group.st:
+                return None, group.key
+            return group, score
         best = None
         best_score = -1.0
         for group in groups:
@@ -158,9 +158,8 @@ class ParseDag:
                 best = group
                 best_score = score
         if best is not None:
-            length_node.cache = groups
             return best, best_score
-        return None, key
+        return None, groups[0].key
 
     # -- update ----------------------------------------------------------
 
@@ -178,7 +177,7 @@ class ParseDag:
         if self.merge_threshold is not None:
             counts = _literal_counts(tokens)
             group.output_id = self._try_merge(group, counts) or group_id
-        self.length_nodes[len(tokens)].cache = self._place(group, counts)
+        self._place(group, counts)
         return group
 
     def _try_merge(self, new_group: LogGroup, counts: dict[str, int]) -> int | None:
@@ -211,19 +210,21 @@ class ParseDag:
                 best_id = output_id
         return best_id
 
-    def _place(self, group: LogGroup, counts: dict[str, int] | None = None) -> list[LogGroup]:
-        """Enter a group in the graph and return its similarity node. A group
-        whose output ID is its own opens that node and, with merging on, enters
-        its literal counts (``counts``, if already counted) in the merge index;
-        a group joining a node extends the node's template by one LCS, the fold
-        with the new member last."""
-        group_id, event = group.group_id, group.event
+    def _place(self, group: LogGroup, counts: dict[str, int] | None = None) -> None:
+        """Enter a group in the graph, its first message's ends in the length
+        node's memo included. A group whose output ID is its own opens that
+        output node and, with merging on, enters its literal counts (``counts``,
+        if already counted) in the merge index; a group joining a node extends
+        the node's template by one LCS, the fold with the new member last."""
+        group_id, event, message = group.group_id, group.event, group.first_message
         self.groups[group_id] = group
         length_node = self.length_nodes.get(len(event))
         if length_node is None:
             length_node = self.length_nodes[len(event)] = LengthNode()
         groups = length_node.split_nodes.setdefault(group.key, [])
         groups.append(group)
+        if message:  # equal ends give equal keys, so an entry never changes
+            length_node.ends[message[0], message[-1]] = groups
         if group.output_id == group_id:
             self.outputs[group_id] = OutputNode([group], event)
             if self.merge_threshold is not None:
@@ -234,7 +235,6 @@ class ParseDag:
             node.template = lcs(self.output_template(group.output_id), event)
             node.text = None
             node.members.append(group)
-        return groups
 
     def update_group(self, group: LogGroup, tokens: list[str], score: float) -> int:
         """Absorb a matched message that scored ``score`` against the group:

@@ -126,7 +126,7 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_cache_equivalence():
-    # The reference clears every length-node pointer before each line, so
+    # The reference clears every length node's ends memo before each line, so
     # every line takes the full length -> split key -> similarity scan.
     from test_dag import ScanOnlyDag
 
@@ -140,7 +140,7 @@ def test_criterion_5_cache_equivalence():
         a = [dag.parse_line(l.split()) for l in lines]
         b = [reference.parse_line(l.split()) for l in lines]
         assert a == b, f"divergence on trial {trial}"
-    _ok("criterion 5: fast path equals the full scan, line by line (50 streams)")
+    _ok("criterion 5: the ends memo routes as the split key, line by line (50 streams)")
 
 
 @pytest.mark.parametrize("n_templates", [20, 60, 100])
@@ -175,19 +175,26 @@ def test_criterion_7_linear_scaling(tmp_path):
     _ok(f"criterion 7: linear scaling, {rate:.0f} lines/s at 160k lines ({elapsed:.1f}s)")
 
 
-def test_criterion_7_scan_work_flat(tmp_path, monkeypatch):
-    # Criterion 7's wall-time ratios drift with the machine; similarity
-    # scores per line do not. Same pool and samples as run_bench's.
+def _criterion_7_samples():
+    """Criterion 7's samples at 10k and 160k lines: run_bench's pool and draws."""
     sizes = [10_000, 20_000, 40_000, 80_000, 160_000]
     rng = random.Random(0)
     templates = synth.make_templates(rng, 40)
     pool, _ = synth.make_stream(rng, templates, 10_000)
     samples = {size: rng.choices(pool, k=size) for size in sizes}
+    return {size: samples[size] for size in (sizes[0], sizes[-1])}
+
+
+def test_criterion_7_scan_work_flat(tmp_path, monkeypatch):
+    # Criterion 7's wall-time ratios drift with the machine; similarity
+    # scores per line do not.
+    samples = _criterion_7_samples()
+    sizes = sorted(samples)
     calls = []
     real = logsieve.dag.sim_seq
     monkeypatch.setattr(logsieve.dag, "sim_seq", lambda m, e: calls.append(1) or real(m, e))
     per_line, groups = {}, {}
-    for size in (sizes[0], sizes[-1]):
+    for size in sizes:
         calls.clear()
         _, dag = run_stream(RunConfig(), samples[size], tmp_path / f"run_{size}")
         per_line[size], groups[size] = len(calls) / size, len(dag.groups)
@@ -195,6 +202,23 @@ def test_criterion_7_scan_work_flat(tmp_path, monkeypatch):
     assert per_line[sizes[-1]] <= 1.05 * per_line[sizes[0]], per_line
     _ok(f"criterion 7: {per_line[sizes[0]]:.4f} and {per_line[sizes[-1]]:.4f} sim_seq calls "
         f"per line at 10k and 160k lines, {groups[sizes[-1]]} groups")
+
+
+def test_criterion_7_split_key_chosen_per_group(tmp_path, monkeypatch):
+    # The ends memo routes every line whose ends a group's first message had,
+    # so on criterion 7's samples the split key is chosen only for the lines
+    # that create a group, however long the stream.
+    samples = _criterion_7_samples()
+    calls = []
+    real = logsieve.dag.select_split_token
+    monkeypatch.setattr(logsieve.dag, "select_split_token",
+                        lambda tokens: calls.append(1) or real(tokens))
+    for size, lines in sorted(samples.items()):
+        calls.clear()
+        _, dag = run_stream(RunConfig(), lines, tmp_path / f"run_{size}")
+        assert len(calls) <= len(dag.groups), (size, len(calls), len(dag.groups))
+        _ok(f"criterion 7: {len(calls) / size:.4f} split-key choices per line at {size} lines, "
+            f"{len(dag.groups)} groups")
 
 
 def test_criterion_8_invariant_suite(tmp_path):

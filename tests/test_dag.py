@@ -21,12 +21,12 @@ def parse_all(dag, lines):
 
 
 class ScanOnlyDag(ParseDag):
-    """The reference search: every length-node pointer is cleared before each
-    line, so the fast path never runs and every line takes the full scan."""
+    """The reference search: every length node's ends memo is cleared before
+    each line, so every line routes by its split key."""
 
     def parse_line(self, tokens):
         for node in self.length_nodes.values():
-            node.cache = None
+            node.ends.clear()
         return super().parse_line(tokens)
 
 
@@ -174,9 +174,17 @@ class TestAcceptAwareSearch:
         assert seen[8000][1] == pytest.approx(seen[4000][1], rel=0.01)
 
 
-# Tiny vocabulary: shared head words, digit-bearing end tokens (n1, n2) and
-# lengths 0-4, so lines of one length meet under several split keys.
-_TINY_MESSAGE = st.lists(st.sampled_from(["a", "b", "n1", "n2", "x.y", "c"]), max_size=4)
+# Tiny vocabulary: shared head words, digit-bearing end tokens (n1, n2),
+# digit-free SPECIAL_CHARS tokens (a/b, =c) and lengths 0-4, so lines of one
+# length meet under several split keys, the None key included.
+_TINY_MESSAGE = st.lists(st.sampled_from(["a", "b", "n1", "n2", "x.y", "c", "a/b", "=c"]),
+                         max_size=4)
+
+
+def memo(dag):
+    """Each length node's ends memo: {length: {ends: group IDs of the node}}."""
+    return {length: {pair: [g.group_id for g in groups] for pair, groups in node.ends.items()}
+            for length, node in dag.length_nodes.items()}
 
 
 class TestCache:
@@ -196,16 +204,38 @@ class TestCache:
         assert dag.to_json() == reference.to_json()
 
     def test_cache_hit_counted(self):
-        # Line 2's ends equal group 1's literal ends, so the fast path decides
-        # it; line 3 wildcards an end, so line 4 takes the scan to the same group.
+        # Line 2's ends are group 1's first message's, so the memo routes it;
+        # line 3's last token is unseen, so it routes by split key to the same
+        # node, and line 4, whose ends are line 1's, takes the memo again,
+        # although line 3 wildcarded that end.
         dag = ParseDag()
         dag.parse_line(["Send", "a1", "b2", "now"])
         assert dag.parse_line(["Send", "a1", "b2", "now"])[0].group_id == 1
         assert dag.cache_hits == 1
         assert dag.parse_line(["Send", "a1", "b2", "later"])[0].group_id == 1
         assert dag.groups[1].event == ["Send", "a1", "b2", WILDCARD]
-        assert dag.parse_line(["Send", "a1", "b2", "now"])[0].group_id == 1
         assert dag.cache_hits == 1
+        assert dag.parse_line(["Send", "a1", "b2", "now"])[0].group_id == 1
+        assert dag.cache_hits == 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(messages=st.lists(_TINY_MESSAGE, max_size=30),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_memo_is_the_split_key_route(self, messages, threshold, data):
+        # None turns merging off. Line 0 is the empty parser; one parser is
+        # saved and loaded after a random line, which rebuilds its memo.
+        split = data.draw(st.integers(0, len(messages)))
+        live, reloaded = ParseDag(threshold), ParseDag(threshold)
+        for line_id, tokens in enumerate([None, *messages]):
+            if line_id:
+                live.parse_line(tokens)
+                reloaded.parse_line(tokens)
+            if line_id == split:
+                reloaded = ParseDag.from_json(reloaded.to_json())
+            assert memo(reloaded) == memo(live)
+            for dag in (live, reloaded):
+                assert_nodes_hold_the_registered_groups(dag)
+                assert sum(len(node.ends) for node in dag.length_nodes.values()) <= len(dag.groups)
 
     def test_cache_miss_falls_back_to_search(self):
         dag = ParseDag()
@@ -416,12 +446,12 @@ def derived(group):
 
 
 def assert_nodes_hold_the_registered_groups(dag):
-    """Every group in a similarity node, a length node's pointer or an output
-    node is the registry's object, so the wildcards ``update_group`` adds reach
-    every node; a length node's pointer is one of its similarity nodes."""
+    """Every group in a similarity node or an output node is the registry's
+    object, so the wildcards ``update_group`` adds reach every node; each ends
+    memo entry is the similarity node its ends' split key names, that object."""
     for node in dag.length_nodes.values():
-        assert node.cache is None or any(node.cache is groups
-                                         for groups in node.split_nodes.values())
+        for pair, groups in node.ends.items():
+            assert groups is node.split_nodes[select_split_token(list(pair))]
         for groups in node.split_nodes.values():
             assert all(group is dag.groups[group.group_id] for group in groups)
     for node in dag.outputs.values():
