@@ -80,7 +80,7 @@ class TestParseLine:
 
 class TestMatchGroup:
     def test_fewest_wildcards_tie_break(self):
-        # Two groups share the node, so the fast path leaves it to the scan.
+        # Two groups share the node, so the scan decides, memo-routed or not.
         for dag in (ParseDag(), ScanOnlyDag()):
             dag.parse_line(["Send", "file", "a1"])
             dag.parse_line(["Send", "file", "b2"])   # -> Send file *
