@@ -9,7 +9,9 @@ node, an exact memo of the route.
 The groups are the only primary state, and ``_place`` enters a group in every
 node: a load replays each saved group through the placement a new group takes.
 A group keeps its first message, from which its split key and its threshold's
-``st_init`` and ``base`` follow; a load derives both by the live functions.
+``st_init`` and ``base`` follow. The key is not stored: ``search`` (on a miss)
+or ``from_json`` derives it and hands it to ``_place``, which files the group
+under it.
 
 Single-writer contract: one ParseDag is driven by one logical stream at a
 time; snapshots may be read when no writer is active.
@@ -46,9 +48,9 @@ class LogGroup:
     count: int  # messages absorbed so far
     threshold: ThresholdState
     output_id: int
-    key: SplitKey  # the split key of the similarity node holding the group
-    # The message that created the group; ``key`` and the threshold's st_init
-    # and base are those of this message.
+    # The message that created the group; the split key of the similarity
+    # node holding the group and the threshold's st_init and base are those
+    # of this message.
     first_message: tuple[str, ...]
     # Derived, never serialized: current_st(threshold), refreshed when the
     # group gains a wildcard.
@@ -126,28 +128,21 @@ class ParseDag:
 
         Memo: the split key reads only the two end tokens, so a message whose
         ends a group's first message had routes to that group's node without
-        choosing a key. Unseen ends and the empty message route by split key.
-        A node's groups share its key, so on a miss the message's key is the
-        first one's. A node of one group leaves the decision to that group,
-        as the scan would.
+        choosing a key; it chooses one only on a miss. Unseen ends and the
+        empty message route by split key, which a miss then returns.
         """
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
             return None, select_split_token(tokens)
         groups = length_node.ends.get((tokens[0], tokens[-1])) if tokens else None
-        if groups is not None:
+        by_memo = groups is not None
+        if by_memo:
             self.cache_hits += 1
         else:
             key = select_split_token(tokens)
             groups = length_node.split_nodes.get(key)
             if groups is None:
                 return None, key
-        if len(groups) == 1:
-            group = groups[0]
-            score = sim_seq(tokens, group.event)
-            if score < group.st:
-                return None, group.key
-            return group, score
         best = None
         best_score = -1.0
         for group in groups:
@@ -159,7 +154,7 @@ class ParseDag:
                 best_score = score
         if best is not None:
             return best, best_score
-        return None, groups[0].key
+        return None, select_split_token(tokens) if by_memo else key
 
     # -- update ----------------------------------------------------------
 
@@ -170,14 +165,14 @@ class ParseDag:
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
-        group = LogGroup(group_id=group_id, event=list(tokens), count=1, key=key,
+        group = LogGroup(group_id=group_id, event=list(tokens), count=1,
                          threshold=new_threshold_state(tokens), output_id=group_id,
                          first_message=tuple(tokens))
         counts = None
         if self.merge_threshold is not None:
             counts = _literal_counts(tokens)
             group.output_id = self._try_merge(group, counts) or group_id
-        self._place(group, counts)
+        self._place(group, key, counts)
         return group
 
     def _try_merge(self, new_group: LogGroup, counts: dict[str, int]) -> int | None:
@@ -199,9 +194,8 @@ class ParseDag:
                 shared[output_id] = shared.get(output_id, 0) + (n if n < m else m)
         best_id = None
         best_score = self.merge_threshold
-        outputs = self.outputs
         for output_id in sorted(shared):
-            template = outputs[output_id].template or self.output_template(output_id)
+            template = self.output_template(output_id)
             if not template or shared[output_id] / min(len(event), len(template)) <= best_score:
                 continue
             score = tem_sim(event, template)
@@ -210,18 +204,19 @@ class ParseDag:
                 best_id = output_id
         return best_id
 
-    def _place(self, group: LogGroup, counts: dict[str, int] | None = None) -> None:
-        """Enter a group in the graph, its first message's ends in the length
-        node's memo included. A group whose output ID is its own opens that
-        output node and, with merging on, enters its literal counts (``counts``,
-        if already counted) in the merge index; a group joining a node extends
-        the node's template by one LCS, the fold with the new member last."""
+    def _place(self, group: LogGroup, key: SplitKey, counts: dict[str, int] | None = None) -> None:
+        """Enter a group in the graph, under its first message's split key
+        ``key`` and that message's ends in the length node's memo. A group
+        whose output ID is its own opens that output node and, with merging
+        on, enters its literal counts (``counts``, if already counted) in the
+        merge index; a group joining a node extends the node's template by one
+        LCS, the fold with the new member last."""
         group_id, event, message = group.group_id, group.event, group.first_message
         self.groups[group_id] = group
         length_node = self.length_nodes.get(len(event))
         if length_node is None:
             length_node = self.length_nodes[len(event)] = LengthNode()
-        groups = length_node.split_nodes.setdefault(group.key, [])
+        groups = length_node.split_nodes.setdefault(key, [])
         groups.append(group)
         if message:  # equal ends give equal keys, so an entry never changes
             length_node.ends[message[0], message[-1]] = groups
@@ -265,10 +260,7 @@ class ParseDag:
             group = self.create_group(tokens, found)
         else:  # ``found`` is the score
             self.update_group(group, tokens, found)
-        text = self.outputs[group.output_id].text
-        if text is None:
-            text = self.output_text(group.output_id)
-        return group, text
+        return group, self.output_text(group.output_id)
 
     # -- reporting -------------------------------------------------------
 
@@ -307,8 +299,7 @@ class ParseDag:
         """Rebuild a parser from ``to_json`` output: check each saved group,
         then replay it in ID order through ``_place``, the placement a new
         group takes. A group's split key and threshold are its first message's,
-        as ``create_group`` gives them, and ``eta`` is its event's wildcard
-        count. Raises ValueError naming the first problem of any other input."""
+        as for a created group, and ``eta`` is its event's wildcard count. Raises ValueError naming the first problem of any other input."""
         try:
             state = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level
@@ -340,7 +331,7 @@ class ParseDag:
                      f"group {gid}: bad output {out!r}")
             threshold = new_threshold_state(message)
             threshold.eta = len(values)
-            dag._place(LogGroup(gid, event, count, threshold, out, key, message))
+            dag._place(LogGroup(gid, event, count, threshold, out, message), key)
         return dag
 
 

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +238,26 @@ class TestCache:
                 assert_nodes_hold_the_registered_groups(dag)
                 assert sum(len(node.ends) for node in dag.length_nodes.values()) <= len(dag.groups)
 
+    @settings(max_examples=500, deadline=None)
+    @given(messages=st.lists(_TINY_MESSAGE, max_size=30),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_split_key_chosen_at_most_once_per_line(self, messages, threshold, data):
+        # A memo-routed line chooses its key only on a miss, and a line routed
+        # by its key hands that key on when it misses. None turns merging off;
+        # the parser is saved and loaded at a random line.
+        split = data.draw(st.integers(0, len(messages)))
+        calls = []
+        real = logsieve.dag.select_split_token
+        dag = ParseDag(threshold)
+        with mock.patch.object(logsieve.dag, "select_split_token",
+                               lambda tokens: calls.append(1) or real(tokens)):
+            for line_id, tokens in enumerate(messages, start=1):
+                if line_id == split + 1:
+                    dag = ParseDag.from_json(dag.to_json())
+                calls.clear()
+                dag.parse_line(tokens)
+                assert len(calls) <= 1, (line_id, tokens)
+
     def test_cache_miss_falls_back_to_search(self):
         dag = ParseDag()
         dag.parse_line(["aaa", "bbb", "ccc"])
@@ -442,18 +463,21 @@ def placement(dag):
 
 
 def derived(group):
-    return group.key, group.threshold, group.st, group.first_message
+    key = select_split_token(list(group.first_message))
+    return key, group.threshold, group.st, group.first_message
 
 
 def assert_nodes_hold_the_registered_groups(dag):
     """Every group in a similarity node or an output node is the registry's
     object, so the wildcards ``update_group`` adds reach every node; each ends
-    memo entry is the similarity node its ends' split key names, that object."""
+    memo entry is the similarity node its ends' split key names, that object;
+    each group is filed under its first message's split key."""
     for node in dag.length_nodes.values():
         for pair, groups in node.ends.items():
             assert groups is node.split_nodes[select_split_token(list(pair))]
-        for groups in node.split_nodes.values():
+        for key, groups in node.split_nodes.items():
             assert all(group is dag.groups[group.group_id] for group in groups)
+            assert all(select_split_token(list(group.first_message)) == key for group in groups)
     for node in dag.outputs.values():
         assert all(group is dag.groups[group.group_id] for group in node.members)
 
@@ -503,7 +527,8 @@ class TestPlacement:
         assert placement(dag) == ({2: {("first", "Send"): [1]}, 3: {("first", "Send"): [2]}},
                                   {1: [1, 2]})
         assert dag.merge_index == {"Send": {1: 1}, "file": {1: 1}}
-        assert [g.key for g in dag.groups.values()] == [("first", "Send")] * 2
+        assert [select_split_token(list(g.first_message)) for g in dag.groups.values()] == [
+            ("first", "Send")] * 2
 
     def test_reload_keeps_creation_order_in_a_similarity_node(self):
         # Group 2 joins node 1; group 3, created later under the same key,
@@ -550,7 +575,8 @@ class TestSnapshotAndState:
         state = json.loads(dag.to_json())
         assert state["groups"][0] == {"count": 1, "event": [], "output": 1, "values": []}
         dag = ParseDag.from_json(dag.to_json())
-        assert (dag.groups[1].key, dag.groups[1].st) == (None, 0.0)
+        assert (select_split_token(list(dag.groups[1].first_message)), dag.groups[1].st) == (
+            None, 0.0)
         assert dag.parse_line([])[0].group_id == 1
         assert dag.groups[1].count == 2 and len(dag.groups) == 2
 
