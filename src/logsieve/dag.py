@@ -299,7 +299,8 @@ class ParseDag:
         """Rebuild a parser from ``to_json`` output: check each saved group,
         then replay it in ID order through ``_place``, the placement a new
         group takes. A group's split key and threshold are its first message's,
-        as for a created group, and ``eta`` is its event's wildcard count. Raises ValueError naming the first problem of any other input."""
+        as for a created group, and ``eta`` is its event's wildcard count.
+        Raises ValueError naming the first problem of any other input."""
         try:
             state = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per level

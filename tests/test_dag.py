@@ -527,8 +527,8 @@ class TestPlacement:
         assert placement(dag) == ({2: {("first", "Send"): [1]}, 3: {("first", "Send"): [2]}},
                                   {1: [1, 2]})
         assert dag.merge_index == {"Send": {1: 1}, "file": {1: 1}}
-        assert [select_split_token(list(g.first_message)) for g in dag.groups.values()] == [
-            ("first", "Send")] * 2
+        keys = [select_split_token(list(g.first_message)) for g in dag.groups.values()]
+        assert keys == [("first", "Send")] * 2
 
     def test_reload_keeps_creation_order_in_a_similarity_node(self):
         # Group 2 joins node 1; group 3, created later under the same key,
@@ -575,8 +575,8 @@ class TestSnapshotAndState:
         state = json.loads(dag.to_json())
         assert state["groups"][0] == {"count": 1, "event": [], "output": 1, "values": []}
         dag = ParseDag.from_json(dag.to_json())
-        assert (select_split_token(list(dag.groups[1].first_message)), dag.groups[1].st) == (
-            None, 0.0)
+        group = dag.groups[1]
+        assert (select_split_token(list(group.first_message)), group.st) == (None, 0.0)
         assert dag.parse_line([])[0].group_id == 1
         assert dag.groups[1].count == 2 and len(dag.groups) == 2
 
