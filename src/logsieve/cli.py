@@ -132,6 +132,7 @@ class RunStats:
     templates_final: int = 0
     wall_time: float = 0.0
     cache_hits: int = 0
+    exact_hits: int = 0
     groups_created: int = 0
     groups_merged: int = 0
     wildcards_added: int = 0
@@ -154,7 +155,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
         dag = ParseDag(merge_threshold=config.merge_threshold)
     stats = RunStats()
     start = time.perf_counter()
-    cache_hits_before = dag.cache_hits
+    cache_hits_before, exact_hits_before = dag.cache_hits, dag.exact_hits
     groups_before, merged_before = len(dag.groups), len(dag.groups) - len(dag.outputs)
     wildcards_before = _wildcards(dag)
     rules = config.preprocess_rules
@@ -201,6 +202,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             write(f"{line_id},{cached[1]}")
     stats.lines_parsed = line_id - first_id
     stats.cache_hits = dag.cache_hits - cache_hits_before
+    stats.exact_hits = dag.exact_hits - exact_hits_before
     # Each merge folds a new group into an existing output node.
     stats.groups_created = len(dag.groups) - groups_before
     stats.groups_merged = len(dag.groups) - len(dag.outputs) - merged_before

@@ -5,7 +5,9 @@ Traversal per message: length node (token count) -> token node (split key) ->
 similarity node (candidate groups) -> output node (final template). The nodes
 hold the groups themselves; ``groups`` lists them by ID. Each length node also
 maps the end tokens of each group's first message to that group's similarity
-node, an exact memo of the route.
+node, an exact memo of the route. ``exact`` maps the first message of each
+group whose event has no wildcard to the earliest such group: a line equal to
+it is that group's, with score 1.0, so it is routed without a scan.
 The groups are the only primary state, and ``_place`` enters a group in every
 node: a load replays each saved group through the placement a new group takes.
 A group keeps its first message, from which its split key and its threshold's
@@ -94,7 +96,13 @@ class ParseDag:
         # event when it was placed; they stay upper bounds, as a template is
         # a subsequence of that event, whose literals only shrink.
         self.merge_index: dict[str, dict[int, int]] = {}
-        self.cache_hits = 0  # lines the ends memo routed
+        # First message -> the earliest wildcard-free group it created; the
+        # key is the group's own ``first_message``. Derived by ``_place`` and
+        # ``update_group``, never serialized. The empty message is left out,
+        # so that every line this memo routes is one the ends memo would.
+        self.exact: dict[tuple[str, ...], LogGroup] = {}
+        self.cache_hits = 0  # lines either memo routed
+        self.exact_hits = 0  # lines the exact-line memo routed
 
     # -- rendering -------------------------------------------------------
 
@@ -130,7 +138,19 @@ class ParseDag:
         ends a group's first message had routes to that group's node without
         choosing a key; it chooses one only on a miss. Unseen ends and the
         empty message route by split key, which a miss then returns.
+
+        Exact-line memo: a line equal to the first message of a group with no
+        wildcard is that group's, with score 1.0, without a scan. The group
+        sits in the node the ends route to, and 1.0 with no wildcard ties
+        only an identical event, that is a later duplicate, which only a
+        loaded state holds; ``exact`` keeps the earliest. Once that group has
+        a wildcard it leaves the memo and the scan decides.
         """
+        group = self.exact.get(tuple(tokens))
+        if group is not None:
+            self.cache_hits += 1
+            self.exact_hits += 1
+            return group, 1.0
         length_node = self.length_nodes.get(len(tokens))
         if length_node is None:
             return None, select_split_token(tokens)
@@ -206,7 +226,8 @@ class ParseDag:
 
     def _place(self, group: LogGroup, key: SplitKey, counts: dict[str, int] | None = None) -> None:
         """Enter a group in the graph, under its first message's split key
-        ``key`` and that message's ends in the length node's memo. A group
+        ``key``, that message's ends in the length node's memo and, while its
+        event has no wildcard, the message in ``exact``. A group
         whose output ID is its own opens that output node and, with merging
         on, enters its literal counts (``counts``, if already counted) in the
         merge index; a group joining a node extends the node's template by one
@@ -220,6 +241,8 @@ class ParseDag:
         groups.append(group)
         if message:  # equal ends give equal keys, so an entry never changes
             length_node.ends[message[0], message[-1]] = groups
+            if None not in event:
+                self.exact.setdefault(message, group)
         if group.output_id == group_id:
             self.outputs[group_id] = OutputNode([group], event)
             if self.merge_threshold is not None:
@@ -234,7 +257,8 @@ class ParseDag:
     def update_group(self, group: LogGroup, tokens: list[str], score: float) -> int:
         """Absorb a matched message that scored ``score`` against the group:
         count it, wildcard every literal position that disagrees, and advance
-        the threshold counter. Returns the number of wildcards added."""
+        the threshold counter; a group gaining its first wildcard leaves
+        ``exact``. Returns the number of wildcards added."""
         group.count += 1
         # sim_seq is 1.0 only when every literal position agreed.
         if score == 1.0:
@@ -246,6 +270,8 @@ class ParseDag:
                 event[i] = WILDCARD
                 replaced += 1
         if replaced:
+            if self.exact.get(group.first_message) is group:
+                del self.exact[group.first_message]
             group.threshold.eta += replaced
             group.st = current_st(group.threshold)
             node = self.outputs[group.output_id]

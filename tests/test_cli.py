@@ -138,6 +138,16 @@ class TestRunStream:
         assert (written["groups_created"], written["groups_merged"]) == (2, 1)
         assert (written["wildcards_added"], written["groups_at_threshold_cap"]) == (2, 1)
 
+    def test_memo_counters_count_this_run(self, tmp_path):
+        # Line 1 repeats group 1's first message, so the exact-line memo
+        # routes it; line 2 has an unseen end and wildcards the "c"; line 3
+        # then takes the ends memo only.
+        _, dag = run_stream(RunConfig(), ["a b c"], tmp_path / "a")
+        stats, _ = run_stream(RunConfig(), ["a b c", "a b d", "a b c"], tmp_path / "b", dag=dag)
+        assert (stats.cache_hits, stats.exact_hits) == (2, 1)
+        written = json.loads((tmp_path / "b" / "stats.json").read_text())
+        assert (written["cache_hits"], written["exact_hits"]) == (2, 1)
+
     def test_byte_identical_reruns(self, tmp_path):
         lines = [f"evt{i % 5} doing work item{i}" for i in range(200)]
         run_stream(RunConfig(), lines, tmp_path / "a")

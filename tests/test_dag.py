@@ -22,10 +22,12 @@ def parse_all(dag, lines):
 
 
 class ScanOnlyDag(ParseDag):
-    """The reference search: every length node's ends memo is cleared before
-    each line, so every line routes by its split key."""
+    """The reference search: the exact-line memo and every length node's ends
+    memo are cleared before each line, so every line routes by its split key
+    and the similarity scan decides it."""
 
     def parse_line(self, tokens):
+        self.exact.clear()
         for node in self.length_nodes.values():
             node.ends.clear()
         return super().parse_line(tokens)
@@ -257,6 +259,48 @@ class TestCache:
                 calls.clear()
                 dag.parse_line(tokens)
                 assert len(calls) <= 1, (line_id, tokens)
+
+    @settings(max_examples=500, deadline=None)
+    @given(messages=st.lists(_TINY_MESSAGE, max_size=30),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_exact_hit_is_the_scan_answer(self, messages, threshold, data):
+        # None turns merging off; the parser is saved and loaded at a random
+        # line. A load replays no duplicate here: a live run makes none.
+        split = data.draw(st.integers(0, len(messages)))
+        dag = ParseDag(threshold)
+        for line_id, tokens in enumerate(messages, start=1):
+            if line_id == split + 1:
+                dag = ParseDag.from_json(dag.to_json())
+            expected, hits = brute_force_search(dag, tokens), dag.exact_hits
+            group, found = dag.search(tokens)
+            if dag.exact_hits > hits:
+                assert (group.group_id, found) == (expected, 1.0), (line_id, tokens)
+            if group is None:
+                dag.create_group(tokens, found)
+            else:
+                dag.update_group(group, tokens, found)
+            for message, group in dag.exact.items():
+                assert message is group.first_message and None not in group.event
+            assert sorted(g.group_id for g in dag.exact.values()) == [
+                g.group_id for g in dag.groups.values() if g.first_message and None not in g.event]
+
+    def test_duplicate_groups_of_a_loaded_state(self):
+        # Two identical wildcard-free groups share a node, which only a saved
+        # state can hold. The memo keeps group 1; once "svc a c" wildcards
+        # it, group 1 leaves the memo and the scan picks group 2, which
+        # scores 1.0 too but has fewer wildcards.
+        saved = {"count": 1, "event": ["svc", "a", "b"], "values": []}
+        state = {"schema": "logsieve-state-v8", "merge_threshold": None,
+                 "groups": [{**saved, "output": 1}, {**saved, "output": 2}]}
+        dag = ParseDag.from_json(json.dumps(state))
+        assert dag.exact == {("svc", "a", "b"): dag.groups[1]}
+        assert dag.parse_line(["svc", "a", "b"])[0].group_id == 1
+        assert dag.exact_hits == 1
+        assert dag.parse_line(["svc", "a", "c"])[0].group_id == 1
+        assert dag.groups[1].event == ["svc", "a", WILDCARD]
+        assert dag.exact == {}
+        assert dag.parse_line(["svc", "a", "b"])[0].group_id == 2
+        assert dag.exact_hits == 1 and dag.groups[2].count == 2
 
     def test_cache_miss_falls_back_to_search(self):
         dag = ParseDag()
