@@ -241,7 +241,7 @@ class ParseDag:
         groups.append(group)
         if message:  # equal ends give equal keys, so an entry never changes
             length_node.ends[message[0], message[-1]] = groups
-            if None not in event:
+            if not group.threshold.eta:  # the event's wildcard count
                 self.exact.setdefault(message, group)
         if group.output_id == group_id:
             self.outputs[group_id] = OutputNode([group], event)
