@@ -126,8 +126,9 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_cache_equivalence():
-    # The reference clears every length node's ends memo before each line, so
-    # every line takes the full length -> split key -> similarity scan.
+    # The reference clears the exact-line memo and every length node's ends
+    # memo before each line, so every line takes the full length -> split
+    # key -> similarity scan.
     from test_dag import ScanOnlyDag
 
     rng = random.Random(2024)
@@ -140,7 +141,7 @@ def test_criterion_5_cache_equivalence():
         a = [dag.parse_line(l.split()) for l in lines]
         b = [reference.parse_line(l.split()) for l in lines]
         assert a == b, f"divergence on trial {trial}"
-    _ok("criterion 5: the ends memo routes as the split key, line by line (50 streams)")
+    _ok("criterion 5: the memos route as the split key and the scan, line by line (50 streams)")
 
 
 @pytest.mark.parametrize("n_templates", [20, 60, 100])

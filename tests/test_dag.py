@@ -279,8 +279,8 @@ class TestCache:
                 dag.create_group(tokens, found)
             else:
                 dag.update_group(group, tokens, found)
-            for message, group in dag.exact.items():
-                assert message is group.first_message and None not in group.event
+            for message, entry in dag.exact.items():
+                assert message is entry.first_message and None not in entry.event
             assert sorted(g.group_id for g in dag.exact.values()) == [
                 g.group_id for g in dag.groups.values() if g.first_message and None not in g.event]
 
