@@ -2,7 +2,7 @@
 
 Raw log lines go in; each line's event ID and template come out. Templates are
 mined incrementally in a fixed-depth graph with per-group self-tuning
-similarity thresholds, an exact per-length memo of the route by end tokens,
+similarity thresholds, one exact memo of the route by length and end tokens,
 an exact-line memo that skips the scan for a line repeating a wildcard-free
 group's first message, and an optional template-merge pass. A
 pairwise-F-measure evaluator and a scaling benchmark ship alongside.

@@ -40,25 +40,12 @@ _BRIEF = reprlib.Repr()
 _BRIEF.maxlevel = 1
 
 
-@dataclass
-class LineFormat:
-    """Ordered header field names; the last one is the free-text content and
-    consumes the remainder of the line."""
-
-    field_names: list[str]
-
-    def __post_init__(self):
-        if not self.field_names:
-            raise ConfigError("line_format must name at least the content field")
-
-
-def extract_content(fmt: LineFormat, raw_line: str) -> str:
-    """Skip the leading whitespace-delimited header fields and return the
-    rest of the line (internal spacing preserved) as content.
+def extract_content(n_header: int, raw_line: str) -> str:
+    """Skip the ``n_header`` leading whitespace-delimited header fields and
+    return the rest of the line (internal spacing preserved) as content.
 
     Raises ValueError when the line has fewer fields than the format needs.
     """
-    n_header = len(fmt.field_names) - 1
     if n_header == 0:
         return raw_line
     parts = raw_line.split(None, n_header)
@@ -71,7 +58,8 @@ def extract_content(fmt: LineFormat, raw_line: str) -> str:
 class RunConfig:
     preprocess_rules: list[PreprocessRule] = field(default_factory=list)
     merge_threshold: float | None = None  # None turns merging off
-    line_format: LineFormat = field(default_factory=lambda: LineFormat(["Content"]))
+    # Header fields before the content: line_format's names but the last.
+    header_fields: int = 0
 
 
 def load_config(path) -> RunConfig:
@@ -118,11 +106,10 @@ def load_config(path) -> RunConfig:
     elif threshold is None:
         raise ConfigError("merge_threshold is required when merge_enabled is true")
     fmt = raw.get("line_format")
-    return RunConfig(
-        preprocess_rules=rules,
-        merge_threshold=threshold,
-        line_format=LineFormat(["Content"] if fmt is None else fmt),
-    )
+    if fmt == []:
+        raise ConfigError("line_format must name at least the content field")
+    return RunConfig(preprocess_rules=rules, merge_threshold=threshold,
+                     header_fields=0 if fmt is None else len(fmt) - 1)
 
 
 @dataclass
@@ -159,7 +146,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
     groups_before, merged_before = len(dag.groups), len(dag.groups) - len(dag.outputs)
     wildcards_before = _wildcards(dag)
     rules = config.preprocess_rules
-    fmt = config.line_format
+    n_header = config.header_fields
     # Read per call, not at import: hooks installed before the call see every line.
     extract, preprocess, to_tokens = extract_content, apply_preprocess, tokenize
     parse_line = dag.parse_line
@@ -180,7 +167,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
             if not raw:
                 continue
             try:
-                content = extract(fmt, raw)
+                content = extract(n_header, raw)
             except ValueError:
                 stats.malformed_skipped += 1
                 continue

@@ -3,17 +3,16 @@ and output nodes, mutated one message at a time.
 
 Traversal per message: length node (token count) -> token node (split key) ->
 similarity node (candidate groups) -> output node (final template). The nodes
-hold the groups themselves; ``groups`` lists them by ID. Each length node also
-maps the end tokens of each group's first message to that group's similarity
-node, an exact memo of the route. ``exact`` maps the first message of each
-group whose event has no wildcard to the earliest such group: a line equal to
-it is that group's, with score 1.0, so it is routed without a scan.
+hold the groups themselves; ``groups`` lists them by ID. ``ends`` maps the
+length and end tokens of each group's first message to that group's
+similarity node, an exact memo of the route. ``exact`` maps the first message
+of each group whose event has no wildcard to the earliest such group: a line
+equal to it is that group's, with score 1.0, so it is routed without a scan.
 The groups are the only primary state, and ``_place`` enters a group in every
 node: a load replays each saved group through the placement a new group takes.
-A group keeps its first message, from which its split key and its threshold's
-``st_init`` and ``base`` follow. The key is not stored: ``search`` (on a miss)
-or ``from_json`` derives it and hands it to ``_place``, which files the group
-under it.
+A group derives its threshold from its first message and its event. Its split
+key is not stored: ``search`` (on a miss) or ``from_json`` derives it and
+hands it to ``_place``, which files the group under it.
 
 Single-writer contract: one ParseDag is driven by one logical stream at a
 time; snapshots may be read when no writer is active.
@@ -48,17 +47,19 @@ class LogGroup:
     group_id: int
     event: list[Token]
     count: int  # messages absorbed so far
-    threshold: ThresholdState
     output_id: int
     # The message that created the group; the split key of the similarity
     # node holding the group and the threshold's st_init and base are those
     # of this message.
     first_message: tuple[str, ...]
-    # Derived, never serialized: current_st(threshold), refreshed when the
-    # group gains a wildcard.
+    # Derived, never serialized: the threshold (eta is the event's wildcard
+    # count) and current_st(threshold), advanced when the group gains a wildcard.
+    threshold: ThresholdState = field(init=False, repr=False, compare=False)
     st: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.threshold = new_threshold_state(self.first_message)
+        self.threshold.eta = self.event.count(None)
         self.st = current_st(self.threshold)
 
 
@@ -77,9 +78,6 @@ class OutputNode:
 class LengthNode:
     # split key -> creation-ordered groups (the similarity node)
     split_nodes: dict[SplitKey, list[LogGroup]] = field(default_factory=dict)
-    # (first, last) token of a group's first message -> the group's similarity
-    # node, the same list object; derived by ``_place``, never serialized.
-    ends: dict[tuple[str, str], list[LogGroup]] = field(default_factory=dict)
 
 
 class ParseDag:
@@ -96,6 +94,9 @@ class ParseDag:
         # event when it was placed; they stay upper bounds, as a template is
         # a subsequence of that event, whose literals only shrink.
         self.merge_index: dict[str, dict[int, int]] = {}
+        # (length, first, last token) of a group's first message -> its
+        # similarity node, that list; derived by ``_place``, never serialized.
+        self.ends: dict[tuple[int, str, str], list[LogGroup]] = {}
         # First message -> the earliest wildcard-free group it created; the
         # key is the group's own ``first_message``. Derived by ``_place`` and
         # ``update_group``, never serialized. The empty message is left out,
@@ -135,9 +136,9 @@ class ParseDag:
         best candidate, whose cap can turn away what a younger group accepts.
 
         Memo: the split key reads only the two end tokens, so a message whose
-        ends a group's first message had routes to that group's node without
-        choosing a key; it chooses one only on a miss. Unseen ends and the
-        empty message route by split key, which a miss then returns.
+        length and ends a group's first message had routes to that group's
+        node by one ``ends`` probe; it chooses a key only on a miss. Unseen
+        ends and the empty message route by split key, which a miss returns.
 
         Exact-line memo: a line equal to the first message of a group with no
         wildcard is that group's, with score 1.0, without a scan. The group
@@ -151,16 +152,14 @@ class ParseDag:
             self.cache_hits += 1
             self.exact_hits += 1
             return group, 1.0
-        length_node = self.length_nodes.get(len(tokens))
-        if length_node is None:
-            return None, select_split_token(tokens)
-        groups = length_node.ends.get((tokens[0], tokens[-1])) if tokens else None
+        groups = self.ends.get((len(tokens), tokens[0], tokens[-1])) if tokens else None
         by_memo = groups is not None
         if by_memo:
             self.cache_hits += 1
         else:
             key = select_split_token(tokens)
-            groups = length_node.split_nodes.get(key)
+            length_node = self.length_nodes.get(len(tokens))
+            groups = length_node.split_nodes.get(key) if length_node else None
             if groups is None:
                 return None, key
         best = None
@@ -185,9 +184,7 @@ class ParseDag:
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
-        group = LogGroup(group_id=group_id, event=list(tokens), count=1,
-                         threshold=new_threshold_state(tokens), output_id=group_id,
-                         first_message=tuple(tokens))
+        group = LogGroup(group_id, list(tokens), 1, group_id, tuple(tokens))
         counts = None
         if self.merge_threshold is not None:
             counts = _literal_counts(tokens)
@@ -226,7 +223,7 @@ class ParseDag:
 
     def _place(self, group: LogGroup, key: SplitKey, counts: dict[str, int] | None = None) -> None:
         """Enter a group in the graph, under its first message's split key
-        ``key``, that message's ends in the length node's memo and, while its
+        ``key``, that message's length and ends in ``ends`` and, while its
         event has no wildcard, the message in ``exact``. A group
         whose output ID is its own opens that output node and, with merging
         on, enters its literal counts (``counts``, if already counted) in the
@@ -240,7 +237,7 @@ class ParseDag:
         groups = length_node.split_nodes.setdefault(key, [])
         groups.append(group)
         if message:  # equal ends give equal keys, so an entry never changes
-            length_node.ends[message[0], message[-1]] = groups
+            self.ends[len(message), message[0], message[-1]] = groups
             if not group.threshold.eta:  # the event's wildcard count
                 self.exact.setdefault(message, group)
         if group.output_id == group_id:
@@ -281,6 +278,7 @@ class ParseDag:
     def parse_line(self, tokens: list[str]) -> tuple[LogGroup, str]:
         """Match or create a group for one preprocessed, tokenized message;
         return the group and its output template's text as of this message."""
+        tokens = tuple(tokens)  # shared by the exact-line probe and a new group
         group, found = self.search(tokens)
         if group is None:  # ``found`` is the message's split key
             group = self.create_group(tokens, found)
@@ -324,8 +322,8 @@ class ParseDag:
     def from_json(cls, text: str) -> "ParseDag":
         """Rebuild a parser from ``to_json`` output: check each saved group,
         then replay it in ID order through ``_place``, the placement a new
-        group takes. A group's split key and threshold are its first message's,
-        as for a created group, and ``eta`` is its event's wildcard count.
+        group takes. A group's split key is its first message's, and the group
+        derives its threshold, as a created group does.
         Raises ValueError naming the first problem of any other input."""
         try:
             state = json.loads(text)
@@ -356,9 +354,7 @@ class ParseDag:
             _require(type(out) is int and (out == gid or merge_threshold is not None
                                            and out in dag.outputs),
                      f"group {gid}: bad output {out!r}")
-            threshold = new_threshold_state(message)
-            threshold.eta = len(values)
-            dag._place(LogGroup(gid, event, count, threshold, out, message), key)
+            dag._place(LogGroup(gid, event, count, out, message), key)
         return dag
 
 

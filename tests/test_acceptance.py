@@ -126,9 +126,9 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_cache_equivalence():
-    # The reference clears the exact-line memo and every length node's ends
-    # memo before each line, so every line takes the full length -> split
-    # key -> similarity scan.
+    # The reference clears the exact-line memo and the end-token memo before
+    # each line, so every line takes the full length -> split key ->
+    # similarity scan.
     from test_dag import ScanOnlyDag
 
     rng = random.Random(2024)
@@ -206,9 +206,9 @@ def test_criterion_7_scan_work_flat(tmp_path, monkeypatch):
 
 
 def test_criterion_7_split_key_chosen_per_group(tmp_path, monkeypatch):
-    # The ends memo routes every line whose ends a group's first message had,
-    # so on criterion 7's samples the split key is chosen only for the lines
-    # that create a group, however long the stream.
+    # The end-token memo routes every line whose length and ends a group's
+    # first message had, so on criterion 7's samples the split key is chosen
+    # only for the lines that create a group, however long the stream.
     samples = _criterion_7_samples()
     calls = []
     real = logsieve.dag.select_split_token

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logsieve.cli import (
-    LineFormat,
     RunConfig,
     extract_content,
     load_config,
@@ -31,22 +30,22 @@ HDFS_LINE = (
 
 class TestExtractContent:
     def test_hdfs_style_line(self):
-        fmt = LineFormat(["Date", "Time", "Pid", "Level", "Component", "Content"])
-        content = extract_content(fmt, HDFS_LINE)
+        # Date, Time, Pid, Level and Component come before the content.
+        content = extract_content(5, HDFS_LINE)
         assert content == (
             "Received block blk_3587508140051953248 of size 67108864 from /10.251.42.84"
         )
 
     def test_content_only(self):
-        content = extract_content(LineFormat(["Content"]), "hello world")
+        content = extract_content(0, "hello world")
         assert content == "hello world"
 
     def test_too_few_fields(self):
         with pytest.raises(ValueError):
-            extract_content(LineFormat(["A", "B", "Content"]), "x y")
+            extract_content(2, "x y")
 
     def test_content_spacing_preserved(self):
-        content = extract_content(LineFormat(["A", "Content"]), "x a  b   c")
+        content = extract_content(1, "x a  b   c")
         assert content == "a  b   c"
 
 
@@ -63,8 +62,14 @@ class TestConfig:
         )
         config = load_config(cfg)
         assert config.merge_threshold == 0.95
-        assert config.line_format.field_names == ["Date", "Content"]
+        assert config.header_fields == 1
         assert config.preprocess_rules[0].replacement == "blkID"
+        # Without a line_format the whole line is content; the demo config
+        # names five header fields before it.
+        cfg.write_text("merge_enabled: false\n")
+        assert load_config(cfg).header_fields == 0
+        demo = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
+        assert load_config(demo).header_fields == 5
 
     @pytest.mark.parametrize("text", ["merge_enabled: false\nmerge_threshold: 0.9\n",
                                       "merge_threshold: 0.9\n"],
@@ -108,7 +113,7 @@ class TestRunStream:
         assert stats.templates_final == 0
 
     def test_malformed_lines_skipped_and_ids_consecutive(self, tmp_path):
-        config = RunConfig(line_format=LineFormat(["A", "B", "Content"]))
+        config = RunConfig(header_fields=2)
         lines = ["x y hello there", "short", "x y more text here"]
         stats, _ = run_stream(config, lines, tmp_path)
         assert stats.malformed_skipped == 1
@@ -141,7 +146,7 @@ class TestRunStream:
     def test_memo_counters_count_this_run(self, tmp_path):
         # Line 1 repeats group 1's first message, so the exact-line memo
         # routes it; line 2 has an unseen end and wildcards the "c"; line 3
-        # then takes the ends memo only.
+        # then takes the end-token memo only.
         _, dag = run_stream(RunConfig(), ["a b c"], tmp_path / "a")
         stats, _ = run_stream(RunConfig(), ["a b c", "a b d", "a b c"], tmp_path / "b", dag=dag)
         assert (stats.cache_hits, stats.exact_hits) == (2, 1)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
 from logsieve.cli import RunConfig, run_stream
-from logsieve.dag import ParseDag, render_template
+from logsieve.dag import LogGroup, ParseDag, render_template
 from logsieve.preprocess import ConfigError, select_split_token
-from logsieve.similarity import WILDCARD, current_st, sim_seq
+from logsieve.similarity import WILDCARD, current_st, new_threshold_state, sim_seq
 from logsieve import synth
 from test_similarity import dp_lcs
 
@@ -22,14 +22,13 @@ def parse_all(dag, lines):
 
 
 class ScanOnlyDag(ParseDag):
-    """The reference search: the exact-line memo and every length node's ends
-    memo are cleared before each line, so every line routes by its split key
-    and the similarity scan decides it."""
+    """The reference search: the exact-line memo and the end-token memo are
+    cleared before each line, so every line routes by its split key and the
+    similarity scan decides it."""
 
     def parse_line(self, tokens):
         self.exact.clear()
-        for node in self.length_nodes.values():
-            node.ends.clear()
+        self.ends.clear()
         return super().parse_line(tokens)
 
 
@@ -185,9 +184,8 @@ _TINY_MESSAGE = st.lists(st.sampled_from(["a", "b", "n1", "n2", "x.y", "c", "a/b
 
 
 def memo(dag):
-    """Each length node's ends memo: {length: {ends: group IDs of the node}}."""
-    return {length: {pair: [g.group_id for g in groups] for pair, groups in node.ends.items()}
-            for length, node in dag.length_nodes.items()}
+    """The end-token memo: {(length, first, last): group IDs of the node}."""
+    return {ends: [g.group_id for g in groups] for ends, groups in dag.ends.items()}
 
 
 class TestCache:
@@ -238,7 +236,7 @@ class TestCache:
             assert memo(reloaded) == memo(live)
             for dag in (live, reloaded):
                 assert_nodes_hold_the_registered_groups(dag)
-                assert sum(len(node.ends) for node in dag.length_nodes.values()) <= len(dag.groups)
+                assert len(dag.ends) <= len(dag.groups)
 
     @settings(max_examples=500, deadline=None)
     @given(messages=st.lists(_TINY_MESSAGE, max_size=30),
@@ -495,6 +493,16 @@ class TestDerivedState:
             assert text == render_template(dag.output_template(output_id))
 
 
+def test_group_derives_its_threshold():
+    # The first message's digit count gives st_init and base; the event's one
+    # wildcard gives eta.
+    group = LogGroup(1, ["a", None, "c"], 2, 1, ("a", "b1", "c"))
+    expected = new_threshold_state(("a", "b1", "c"))
+    expected.eta = 1
+    assert group.threshold == expected
+    assert group.st == current_st(group.threshold)
+
+
 def placement(dag):
     """The graph's indexes over the groups: {length: {split key: group IDs}}
     and {output ID: group IDs}."""
@@ -513,12 +521,13 @@ def derived(group):
 
 def assert_nodes_hold_the_registered_groups(dag):
     """Every group in a similarity node or an output node is the registry's
-    object, so the wildcards ``update_group`` adds reach every node; each ends
-    memo entry is the similarity node its ends' split key names, that object;
-    each group is filed under its first message's split key."""
+    object, so the wildcards ``update_group`` adds reach every node; each
+    end-token memo entry is the similarity node its length and its ends' split
+    key name, that object; each group is filed under its first message's split
+    key."""
+    for (length, first, last), groups in dag.ends.items():
+        assert groups is dag.length_nodes[length].split_nodes[select_split_token([first, last])]
     for node in dag.length_nodes.values():
-        for pair, groups in node.ends.items():
-            assert groups is node.split_nodes[select_split_token(list(pair))]
         for key, groups in node.split_nodes.items():
             assert all(group is dag.groups[group.group_id] for group in groups)
             assert all(select_split_token(list(group.first_message)) == key for group in groups)
