@@ -9,20 +9,16 @@ Subcommands:
 Exit codes: 0 success, 1 usage/configuration error, 2 IO error.
 """
 
-import argparse
 import csv
 import io
 import json
-import random
 import reprlib
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
-from . import synth
 from .dag import ParseDag, check_merge_threshold
 from .evaluation import f_measure, load_ground_truth, pair_counts
 from .preprocess import ConfigError, PreprocessRule, apply_preprocess, tokenize
@@ -54,12 +50,16 @@ def extract_content(n_header: int, raw_line: str) -> str:
     return parts[n_header]
 
 
-@dataclass
 class RunConfig:
-    preprocess_rules: list[PreprocessRule] = field(default_factory=list)
-    merge_threshold: float | None = None  # None turns merging off
-    # Header fields before the content: line_format's names but the last.
-    header_fields: int = 0
+    def __init__(self, preprocess_rules: list[PreprocessRule] | None = None,
+                 merge_threshold: float | None = None, header_fields: int = 0):
+        self.preprocess_rules = [] if preprocess_rules is None else preprocess_rules
+        self.merge_threshold = merge_threshold  # None turns merging off
+        # Header fields before the content: line_format's names but the last.
+        self.header_fields = header_fields
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is RunConfig else NotImplemented
 
 
 def load_config(path) -> RunConfig:
@@ -112,18 +112,18 @@ def load_config(path) -> RunConfig:
                      header_fields=0 if fmt is None else len(fmt) - 1)
 
 
-@dataclass
 class RunStats:
-    lines_parsed: int = 0
-    malformed_skipped: int = 0
-    templates_final: int = 0
-    wall_time: float = 0.0
-    cache_hits: int = 0
-    exact_hits: int = 0
-    groups_created: int = 0
-    groups_merged: int = 0
-    wildcards_added: int = 0
-    groups_at_threshold_cap: int = 0
+    def __init__(self):  # stats.json holds these counters in this order
+        self.lines_parsed = 0
+        self.malformed_skipped = 0
+        self.templates_final = 0
+        self.wall_time = 0.0
+        self.cache_hits = 0
+        self.exact_hits = 0
+        self.groups_created = 0
+        self.groups_merged = 0
+        self.wildcards_added = 0
+        self.groups_at_threshold_cap = 0
 
 
 def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -> tuple[RunStats, ParseDag]:
@@ -202,7 +202,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
         writer.writerow(["OutputId", "EventTemplate", "Occurrences"])
         writer.writerows(snapshot)
     stats.wall_time = time.perf_counter() - start
-    (out_dir / STATS_FILE).write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
+    (out_dir / STATS_FILE).write_text(json.dumps(vars(stats), indent=2) + "\n", encoding="utf-8")
     return stats, dag
 
 
@@ -248,6 +248,10 @@ def run_bench(
     Each size runs BENCH_ROUNDS times, the sizes taking turns round-robin so a
     slow phase of the machine slows every size alike; a size's time is the
     fastest of its runs, as other load only slows. An empty pool raises ValueError."""
+    import random
+
+    from . import synth
+
     rng = random.Random(seed)
     if pool_lines is None:
         templates = synth.make_templates(rng, n_templates)
@@ -282,6 +286,8 @@ def _open_input(path: str):
 
 def _sizes(text: str) -> list[int]:
     """Parse ``--sizes``: comma-separated line counts, at least one, each at least 1."""
+    import argparse
+
     try:
         sizes = [int(s) for s in text.split(",") if s]
         if sizes and all(size >= 1 for size in sizes):
@@ -291,14 +297,15 @@ def _sizes(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"bad value {text!r}")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a bad command line like a bad configuration: one line, exit 1."""
+def _build_parser() -> "argparse.ArgumentParser":
+    import argparse  # here: a library caller of run_stream parses no command line
 
-    def error(self, message):
-        raise ConfigError(message)
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Reports a bad command line like a bad configuration: one line, exit 1."""
 
+        def error(self, message):
+            raise ConfigError(message)
 
-def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="logsieve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,6 @@ time; snapshots may be read when no writer is active.
 """
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .preprocess import FIRST, ConfigError, SplitKey, select_split_token
@@ -31,7 +30,6 @@ from .similarity import (
     new_threshold_state,
     sim_seq,
     tem_sim,
-    ThresholdState,
 )
 
 SNAPSHOT_SCHEMA = "logsieve-state-v8"
@@ -42,42 +40,55 @@ def render_template(event: list[Token]) -> str:
     return " ".join(["*" if t is None else t for t in event])
 
 
-@dataclass(slots=True)
 class LogGroup:
-    group_id: int
-    event: list[Token]
-    count: int  # messages absorbed so far
-    output_id: int
-    # The message that created the group; the split key of the similarity
-    # node holding the group and the threshold's st_init and base are those
-    # of this message.
-    first_message: tuple[str, ...]
-    # Derived, never serialized: the threshold (eta is the event's wildcard
-    # count) and current_st(threshold), advanced when the group gains a wildcard.
-    threshold: ThresholdState = field(init=False, repr=False, compare=False)
-    st: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("group_id", "event", "count", "output_id", "first_message", "threshold", "st")
 
-    def __post_init__(self):
-        self.threshold = new_threshold_state(self.first_message)
-        self.threshold.eta = self.event.count(None)
+    def __init__(self, group_id: int, event: list[Token], count: int, output_id: int,
+                 first_message: tuple[str, ...]):
+        self.group_id = group_id
+        self.event = event
+        self.count = count  # messages absorbed so far
+        self.output_id = output_id
+        # The message that created the group; the split key of the similarity
+        # node holding the group and the threshold's st_init and base are those
+        # of this message.
+        self.first_message = first_message
+        # Derived, never serialized: the threshold (eta is the event's wildcard
+        # count) and current_st(threshold), advanced when the group gains a wildcard.
+        self.threshold = new_threshold_state(first_message)
+        self.threshold.eta = event.count(None)
         self.st = current_st(self.threshold)
 
+    def _saved(self) -> tuple:
+        return self.group_id, self.event, self.count, self.output_id, self.first_message
 
-@dataclass(slots=True)
+    def __eq__(self, other):  # the saved fields only: the rest is derived from them
+        return self._saved() == other._saved() if type(other) is LogGroup else NotImplemented
+
+    def __repr__(self):
+        return ("LogGroup(group_id={!r}, event={!r}, count={!r}, output_id={!r}, "
+                "first_message={!r})".format(*self._saved()))
+
+
 class OutputNode:
-    members: list[LogGroup]
-    # Derived, never serialized, and both cleared whenever a member gains a
-    # wildcard: the template (a lone member's live event itself, or the LCS
-    # fold of the members' live events) and the rendered template, each
-    # filled again on first read.
-    template: list[Token] | None = field(repr=False, compare=False)
-    text: str | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("members", "template", "text")
+
+    def __init__(self, members: list[LogGroup], template: list[Token] | None):
+        self.members = members
+        # Derived, never serialized, and both cleared whenever a member gains a
+        # wildcard: the template (a lone member's live event itself, or the LCS
+        # fold of the members' live events) and the rendered template, each
+        # filled again on first read.
+        self.template = template
+        self.text: str | None = None
 
 
-@dataclass(slots=True)
 class LengthNode:
-    # split key -> creation-ordered groups (the similarity node)
-    split_nodes: dict[SplitKey, list[LogGroup]] = field(default_factory=dict)
+    __slots__ = ("split_nodes",)
+
+    def __init__(self):
+        # split key -> creation-ordered groups (the similarity node)
+        self.split_nodes: dict[SplitKey, list[LogGroup]] = {}
 
 
 class ParseDag:

@@ -6,18 +6,12 @@ a false positive only in the prediction, a false negative only in the truth.
 """
 
 import csv
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 # line ID -> cluster label
 Partition = dict[int, object]
 
-
-@dataclass(frozen=True)
-class PairCounts:
-    tp: int
-    fp: int
-    fn: int
+PairCounts = namedtuple("PairCounts", "tp fp fn")
 
 
 def _check_universe(predicted: Partition, truth: Partition) -> None:

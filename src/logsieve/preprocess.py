@@ -7,7 +7,6 @@ routes the message through the token layer of the parse graph.
 """
 
 import re
-from dataclasses import dataclass, field
 
 # Punctuation characters commonly found in variable tokens of system logs: a
 # fixed set, so every run and every saved state routes a message alike.
@@ -31,37 +30,40 @@ class ConfigError(ValueError):
     """Invalid user configuration (bad regex, malformed rule, bad option)."""
 
 
-@dataclass(frozen=True)
 class PreprocessRule:
     """One substitution rule: regex pattern -> constant replacement.
 
     The replacement must not contain whitespace so a substitution cannot
     silently change token boundaries inside the replaced span, nor a
     backslash, which ``re`` would read as an escape or a group reference.
+    Rules are equal, and hash alike, by pattern and replacement.
     """
 
-    pattern: str
-    replacement: str
-    regex: re.Pattern = field(init=False, repr=False, compare=False)
-    # Derived: a literal every match contains ("" when none is known), so
-    # content without it is left alone without running the regex.
-    required: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("pattern", "replacement", "regex", "required")
 
-    def __post_init__(self):
+    def __init__(self, pattern: str, replacement: str):
         try:
-            compiled = re.compile(self.pattern)
+            compiled = re.compile(pattern)
         except re.error as exc:
-            raise ConfigError(f"invalid preprocess pattern {self.pattern!r}: {exc}") from exc
-        if any(c.isspace() for c in self.replacement):
+            raise ConfigError(f"invalid preprocess pattern {pattern!r}: {exc}") from exc
+        if any(c.isspace() for c in replacement):
+            raise ConfigError(f"preprocess replacement {replacement!r} must not contain whitespace")
+        if "\\" in replacement:
             raise ConfigError(
-                f"preprocess replacement {self.replacement!r} must not contain whitespace"
-            )
-        if "\\" in self.replacement:
-            raise ConfigError(
-                f"preprocess replacement {self.replacement!r} must not contain a backslash"
-            )
-        object.__setattr__(self, "regex", compiled)
-        object.__setattr__(self, "required", _required_literal(compiled))
+                f"preprocess replacement {replacement!r} must not contain a backslash")
+        self.pattern = pattern
+        self.replacement = replacement
+        self.regex = compiled
+        # Derived: a literal every match contains ("" when none is known), so
+        # content without it is left alone without running the regex.
+        self.required = _required_literal(compiled)
+
+    def __eq__(self, other):
+        return ((self.pattern, self.replacement) == (other.pattern, other.replacement)
+                if type(other) is PreprocessRule else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.pattern, self.replacement))
 
 
 def _required_literal(regex: re.Pattern) -> str:

@@ -6,7 +6,6 @@ mutated only by the graph code.
 """
 
 import math
-from dataclasses import dataclass
 from operator import eq
 
 from .preprocess import DIGITS
@@ -39,7 +38,6 @@ def sim_seq(message: list[str], event: list[Token]) -> float:
     return sum(map(eq, message, event)) / n_c
 
 
-@dataclass(slots=True)
 class ThresholdState:
     """Per-group adaptive acceptance threshold.
 
@@ -47,9 +45,14 @@ class ThresholdState:
     template tokens replaced by wildcards, so it is the event's wildcard count.
     """
 
-    st_init: float
-    base: int
-    eta: int
+    __slots__ = ("st_init", "base", "eta")
+
+    def __init__(self, st_init: float, base: int, eta: int):
+        self.st_init, self.base, self.eta = st_init, base, eta
+
+    def __eq__(self, other):
+        return ((self.st_init, self.base, self.eta) == (other.st_init, other.base, other.eta)
+                if type(other) is ThresholdState else NotImplemented)
 
 
 def new_threshold_state(tokens: list[str]) -> ThresholdState:

@@ -9,15 +9,12 @@ to start or end with constants.
 
 import random
 import string
-from dataclasses import dataclass
+from collections import namedtuple
 
 _VAR = None  # variable-slot marker inside a synthetic template
 
-
-@dataclass(frozen=True)
-class SyntheticTemplate:
-    template_id: int
-    tokens: tuple  # str for literals, None for variable slots
+# ``tokens`` is a tuple: str for literals, None for variable slots.
+SyntheticTemplate = namedtuple("SyntheticTemplate", "template_id tokens")
 
 
 def _word(rng: random.Random, length: int) -> str:

@@ -71,6 +71,17 @@ class TestConfig:
         demo = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
         assert load_config(demo).header_fields == 5
 
+    def test_configs_compare_by_value(self, tmp_path):
+        first, second = RunConfig(), RunConfig()
+        assert first == second
+        assert first.preprocess_rules is not second.preprocess_rules
+        first.preprocess_rules.append(PreprocessRule(r"blk_[0-9]+", "blkID"))
+        assert second.preprocess_rules == [] and first != second
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("preprocess_rules:\n  - {pattern: 'blk_[0-9]+', replacement: blkID}\n"
+                       "merge_enabled: true\nmerge_threshold: 0.9\nline_format: [Date, Content]\n")
+        assert load_config(cfg) == RunConfig(first.preprocess_rules, 0.9, 1)
+
     @pytest.mark.parametrize("text", ["merge_enabled: false\nmerge_threshold: 0.9\n",
                                       "merge_threshold: 0.9\n"],
                              ids=["off-with-threshold", "threshold-only"])
@@ -152,6 +163,17 @@ class TestRunStream:
         assert (stats.cache_hits, stats.exact_hits) == (2, 1)
         written = json.loads((tmp_path / "b" / "stats.json").read_text())
         assert (written["cache_hits"], written["exact_hits"]) == (2, 1)
+
+    def test_stats_file_holds_the_run_stats(self, tmp_path):
+        stats, _ = run_stream(RunConfig(), ["a b c", "a b d"], tmp_path)
+        written = json.loads((tmp_path / "stats.json").read_text())
+        assert list(written) == [
+            "lines_parsed", "malformed_skipped", "templates_final", "wall_time", "cache_hits",
+            "exact_hits", "groups_created", "groups_merged", "wildcards_added",
+            "groups_at_threshold_cap",
+        ]
+        assert written["lines_parsed"] == stats.lines_parsed == 2
+        assert written["wall_time"] == stats.wall_time
 
     def test_byte_identical_reruns(self, tmp_path):
         lines = [f"evt{i % 5} doing work item{i}" for i in range(200)]

@@ -503,6 +503,18 @@ def test_group_derives_its_threshold():
     assert group.st == current_st(group.threshold)
 
 
+def test_groups_compare_by_saved_fields():
+    # The threshold and st are derived, so a group differing only in them is
+    # the same group; parse_line results of two graphs compare this way.
+    group = LogGroup(1, ["a", None, "c"], 2, 1, ("a", "b1", "c"))
+    other = LogGroup(1, ["a", None, "c"], 2, 1, ("a", "b1", "c"))
+    other.st = 1.0
+    assert group == other
+    assert group != LogGroup(1, ["a", None, "c"], 3, 1, ("a", "b1", "c"))
+    assert repr(group) == ("LogGroup(group_id=1, event=['a', None, 'c'], count=2, "
+                           "output_id=1, first_message=('a', 'b1', 'c'))")
+
+
 def placement(dag):
     """The graph's indexes over the groups: {length: {split key: group IDs}}
     and {output ID: group IDs}."""

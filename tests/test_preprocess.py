@@ -33,6 +33,13 @@ class TestApplyPreprocess:
         rules = [PreprocessRule("ab", "X"), PreprocessRule("Xc", "Y")]
         assert apply_preprocess(rules, "abc") == "Y"
 
+    def test_rules_compare_and_hash_by_pattern_and_replacement(self):
+        rule, same = PreprocessRule("blk_[0-9]+", "blkID"), PreprocessRule("blk_[0-9]+", "blkID")
+        assert rule == same and hash(rule) == hash(same)
+        assert len({rule, same}) == 1
+        assert rule != PreprocessRule("blk_[0-9]+", "blk")
+        assert rule != PreprocessRule("blk_[0-9]*", "blkID")
+
     def test_invalid_pattern_rejected_at_load(self):
         with pytest.raises(ConfigError):
             PreprocessRule("[unclosed", "X")
