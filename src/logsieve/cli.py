@@ -208,7 +208,7 @@ def run_stream(config: RunConfig, lines, out_dir, dag: ParseDag | None = None) -
 
 def _wildcards(dag: ParseDag) -> int:
     """Wildcards the groups have gained since they were created."""
-    return sum(g.threshold.eta for g in dag.groups.values())
+    return sum(g.event.count(None) for g in dag.groups.values())
 
 
 def run_eval(config: RunConfig, lines, out_dir, truth_path, dataset: str = "dataset"):

@@ -29,7 +29,7 @@ from .similarity import (
     lcs,
     new_threshold_state,
     sim_seq,
-    tem_sim,
+    tem_sim,  # unused here: benchmark/layertrace.py hooks this module's name
 )
 
 SNAPSHOT_SCHEMA = "logsieve-state-v8"
@@ -56,8 +56,9 @@ class LogGroup:
         # Derived, never serialized: the threshold (eta is the event's wildcard
         # count) and current_st(threshold), advanced when the group gains a wildcard.
         self.threshold = new_threshold_state(first_message)
-        self.threshold.eta = event.count(None)
-        self.st = current_st(self.threshold)
+        self.threshold.eta = eta = event.count(None)
+        # At eta 0 current_st adds 0.5 * log(1) == 0.0, so st is st_init exactly.
+        self.st = current_st(self.threshold) if eta else self.threshold.st_init
 
     def _saved(self) -> tuple:
         return self.group_id, self.event, self.count, self.output_id, self.first_message
@@ -191,55 +192,67 @@ class ParseDag:
     def create_group(self, tokens: list[str], key: SplitKey) -> LogGroup:
         """Start a group whose template is the unmatched message, under the
         message's split key, and place it, with merging on in the output node
-        ``_try_merge`` picks, if any."""
+        ``_try_merge`` picks, if any, whose merged template ``_try_merge``
+        has already computed."""
         # Group IDs are 1..n in creation order; a group that opens its own
         # output node gives it its ID.
         group_id = len(self.groups) + 1
         group = LogGroup(group_id, list(tokens), 1, group_id, tuple(tokens))
-        counts = None
+        counts = merged = None
         if self.merge_threshold is not None:
             counts = _literal_counts(tokens)
-            group.output_id = self._try_merge(group, counts) or group_id
-        self._place(group, key, counts)
+            target = self._try_merge(group, counts)
+            if target is not None:
+                group.output_id, merged = target
+        self._place(group, key, counts, merged)
         return group
 
-    def _try_merge(self, new_group: LogGroup, counts: dict[str, int]) -> int | None:
+    def _try_merge(self, new_group: LogGroup,
+                   counts: dict[str, int]) -> tuple[int, list[Token]] | None:
         """The existing output node most similar to the fresh group, if
-        template similarity strictly exceeds the merge threshold, else None;
-        ties go to the lowest output ID.
+        template similarity strictly exceeds the merge threshold, and the
+        node's template merged with the new event; else None. Ties go to the
+        lowest output ID.
 
         Only nodes sharing a literal with the new event are visited. The LCS
         is at most the shared literal count, so a node whose shared count
         over the shorter length does not exceed the threshold, or the best
         score so far, cannot win and is not scored, nor can an empty template.
-        ``counts`` are the new event's literal counts."""
+        A scored node's LCS with the event, template first as the fold takes
+        it, gives its score (LCS length over the shorter length) and, for the
+        winner, the merged template. ``counts`` are the new event's literal
+        counts."""
         event = new_group.event
         index = self.merge_index
         shared: dict[int, int] = {}
-        for token in counts.keys() & index.keys():
-            n = counts[token]
-            for output_id, m in index[token].items():
-                shared[output_id] = shared.get(output_id, 0) + (n if n < m else m)
-        best_id = None
+        for token, n in counts.items():
+            posting = index.get(token)
+            if posting is not None:
+                for output_id, m in posting.items():
+                    shared[output_id] = shared.get(output_id, 0) + (n if n < m else m)
+        best = None
         best_score = self.merge_threshold
         for output_id in sorted(shared):
             template = self.output_template(output_id)
             if not template or shared[output_id] / min(len(event), len(template)) <= best_score:
                 continue
-            score = tem_sim(event, template)
+            merged = lcs(template, event)
+            score = len(merged) / min(len(event), len(template))
             if score > best_score:
                 best_score = score
-                best_id = output_id
-        return best_id
+                best = output_id, merged
+        return best
 
-    def _place(self, group: LogGroup, key: SplitKey, counts: dict[str, int] | None = None) -> None:
+    def _place(self, group: LogGroup, key: SplitKey, counts: dict[str, int] | None = None,
+               merged: list[Token] | None = None) -> None:
         """Enter a group in the graph, under its first message's split key
         ``key``, that message's length and ends in ``ends`` and, while its
         event has no wildcard, the message in ``exact``. A group
         whose output ID is its own opens that output node and, with merging
         on, enters its literal counts (``counts``, if already counted) in the
         merge index; a group joining a node extends the node's template by one
-        LCS, the fold with the new member last."""
+        LCS, the fold with the new member last: ``merged``, if already
+        computed (a created group), else computed here (a loaded one)."""
         group_id, event, message = group.group_id, group.event, group.first_message
         self.groups[group_id] = group
         length_node = self.length_nodes.get(len(event))
@@ -258,7 +271,8 @@ class ParseDag:
                     self.merge_index.setdefault(token, {})[group_id] = n
         else:
             node = self.outputs[group.output_id]
-            node.template = lcs(self.output_template(group.output_id), event)
+            node.template = (lcs(self.output_template(group.output_id), event)
+                             if merged is None else merged)
             node.text = None
             node.members.append(group)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
+import logsieve.similarity
 from logsieve.cli import RunConfig, run_stream
 from logsieve.dag import LogGroup, ParseDag, render_template
 from logsieve.preprocess import ConfigError, select_split_token
@@ -333,12 +334,17 @@ def brute_force_merge_target(dag, group):
 
 
 class OracleCheckedDag(ParseDag):
-    """A ParseDag that checks every merge decision against the brute-force scan."""
+    """A ParseDag that checks every merge decision against the brute-force
+    scan, and the merged template it returns against the DP LCS of the
+    target's template, as it was before placement, and the new event."""
 
     def _try_merge(self, new_group, counts):
         expected = brute_force_merge_target(self, new_group)
         got = super()._try_merge(new_group, counts)
-        assert got == expected
+        if expected is None:
+            assert got is None
+        else:
+            assert got == (expected, dp_lcs(self.output_template(expected), new_group.event))
         return got
 
 
@@ -442,15 +448,40 @@ class TestMerge:
                          ["send", "pkt", "to", "host", "now"], []]
 
     def test_group_sharing_no_token_is_never_scored(self, monkeypatch):
+        # The graph scores a candidate by its LCS with the event, template first.
         calls = []
-        real = logsieve.dag.tem_sim
-        monkeypatch.setattr(logsieve.dag, "tem_sim", lambda a, b: calls.append(b) or real(a, b))
+        real = logsieve.dag.lcs
+        monkeypatch.setattr(logsieve.dag, "lcs", lambda a, b: calls.append(a) or real(a, b))
         dag = ParseDag(merge_threshold=0.5)
         dag.parse_line(["Send", "file", "now"])
         dag.parse_line(["open", "port", "later"])
         assert calls == [] and len(dag.outputs) == 2
         group, _ = dag.parse_line(["Send", "file", "x", "y"])
         assert calls == [["Send", "file", "now"]] and group.output_id == 1
+
+    def test_accepted_merge_computes_one_lcs(self, monkeypatch):
+        # The LCS that scores the winner is its merged template: placing the
+        # group folds nothing again, and neither tem_sim nor lcs_len runs.
+        # A created group has no wildcard, so its st is st_init, without
+        # current_st.
+        calls = {"lcs": 0, "tem_sim": 0, "lcs_len": 0, "current_st": 0}
+
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for module, name in ((logsieve.dag, "lcs"), (logsieve.dag, "tem_sim"),
+                             (logsieve.similarity, "lcs_len"), (logsieve.dag, "current_st")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        dag = ParseDag(merge_threshold=0.7)
+        dag.parse_line(["send", "pkt", "alpha", "to", "host"])
+        assert calls == {"lcs": 0, "tem_sim": 0, "lcs_len": 0, "current_st": 0}
+        group, text = dag.parse_line(["send", "pkt", "alpha", "to", "host", "now"])
+        assert group.output_id == 1 and text == "send pkt alpha to host"
+        assert calls == {"lcs": 1, "tem_sim": 0, "lcs_len": 0, "current_st": 0}
+        assert group.st == current_st(group.threshold)
 
 
 # Shared head words and digit-bearing end tokens: lines share lengths and
