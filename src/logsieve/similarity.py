@@ -63,10 +63,7 @@ def new_threshold_state(tokens: list[str]) -> ThresholdState:
     message's 0/0 counts as 0, so its group accepts every empty message.
     """
     seq_len = len(tokens)
-    digits = 0
-    # Most first messages hold no digit: one check of the joined text decides them.
-    if not DIGITS.isdisjoint("".join(tokens)):
-        digits = seq_len - sum(map(DIGITS.isdisjoint, tokens))
+    digits = seq_len - sum(map(DIGITS.isdisjoint, tokens))
     return ThresholdState(0.5 * (seq_len - digits) / (seq_len or 1), max(2, digits + 1), eta=0)
 
 
