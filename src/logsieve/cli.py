@@ -247,13 +247,17 @@ def run_bench(
 
     Each size runs BENCH_ROUNDS times, the sizes taking turns round-robin so a
     slow phase of the machine slows every size alike; a size's time is the
-    fastest of its runs, as other load only slows. An empty pool raises ValueError."""
+    fastest of its runs, as other load only slows. An empty pool, or a
+    synthetic one of fewer than one template, raises ValueError."""
     import random
 
     from . import synth
 
     rng = random.Random(seed)
     if pool_lines is None:
+        if n_templates < 1:
+            raise ValueError("a synthetic bench pool needs at least one template, "
+                             f"not {n_templates}")
         templates = synth.make_templates(rng, n_templates)
         pool_lines, _ = synth.make_stream(rng, templates, 10_000)
     elif not pool_lines:

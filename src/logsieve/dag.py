@@ -77,9 +77,9 @@ class OutputNode:
     def __init__(self, members: list[LogGroup], template: list[Token] | None):
         self.members = members
         # Derived, never serialized, and both cleared whenever a member gains a
-        # wildcard: the template (a lone member's live event itself, or the LCS
-        # fold of the members' live events) and the rendered template, each
-        # filled again on first read.
+        # wildcard or a loaded group joins: the template (a lone member's live
+        # event itself, or the LCS fold of the members' live events) and the
+        # rendered template, each filled again on first read.
         self.template = template
         self.text: str | None = None
 
@@ -247,12 +247,11 @@ class ParseDag:
                merged: list[Token] | None = None) -> None:
         """Enter a group in the graph, under its first message's split key
         ``key``, that message's length and ends in ``ends`` and, while its
-        event has no wildcard, the message in ``exact``. A group
-        whose output ID is its own opens that output node and, with merging
-        on, enters its literal counts (``counts``, if already counted) in the
-        merge index; a group joining a node extends the node's template by one
-        LCS, the fold with the new member last: ``merged``, if already
-        computed (a created group), else computed here (a loaded one)."""
+        event has no wildcard, the message in ``exact``. A group whose output
+        ID is its own opens that output node and, with merging on, enters its
+        literal counts (``counts``, if already counted) in the merge index. A
+        group joining a node sets the node's template to ``merged``: the fold
+        ``_try_merge`` computed for a created group, None for a loaded one."""
         group_id, event, message = group.group_id, group.event, group.first_message
         self.groups[group_id] = group
         length_node = self.length_nodes.get(len(event))
@@ -271,8 +270,7 @@ class ParseDag:
                     self.merge_index.setdefault(token, {})[group_id] = n
         else:
             node = self.outputs[group.output_id]
-            node.template = (lcs(self.output_template(group.output_id), event)
-                             if merged is None else merged)
+            node.template = merged
             node.text = None
             node.members.append(group)
 
@@ -358,9 +356,11 @@ class ParseDag:
         _require(schema == SNAPSHOT_SCHEMA, f"schema {schema!r} is not {SNAPSHOT_SCHEMA!r}")
         _require(sorted(state) == _STATE_KEYS, f"the keys must be {_STATE_KEYS}")
         merge_threshold, groups = state["merge_threshold"], state["groups"]
-        _require(merge_threshold is None or type(merge_threshold) in (int, float), "bad settings")
+        try:
+            dag = cls(merge_threshold)
+        except ConfigError as exc:
+            raise ValueError(f"bad state file: {exc}") from None
         _require(isinstance(groups, list), "bad groups")
-        dag = cls(merge_threshold)
         for gid, group in enumerate(groups, start=1):
             _require(isinstance(group, dict) and sorted(group) == _GROUP_KEYS,
                      f"group {gid}: the keys must be {_GROUP_KEYS}")

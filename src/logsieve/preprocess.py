@@ -130,17 +130,11 @@ def select_split_token(tokens: list[str]) -> SplitKey:
     """
     if not tokens:
         return None
-    # has_digit and has_special, inlined: this runs on most lines.
-    first = tokens[0]
-    last = tokens[-1]
-    if not DIGITS.isdisjoint(first):
-        if not DIGITS.isdisjoint(last):
-            return None
-        return (LAST, last)
-    if not DIGITS.isdisjoint(last):
+    first, last = tokens[0], tokens[-1]
+    if has_digit(first):
+        return None if has_digit(last) else (LAST, last)
+    if has_digit(last):
         return (FIRST, first)
-    if not SPECIAL_CHARS.isdisjoint(first):
-        if not SPECIAL_CHARS.isdisjoint(last):
-            return None
-        return (LAST, last)
+    if has_special(first):
+        return None if has_special(last) else (LAST, last)
     return (FIRST, first)

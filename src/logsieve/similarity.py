@@ -112,17 +112,17 @@ def lcs(a: list, b: list) -> list:
     A walk back over ``_columns``, with ties broken deterministically so
     merged templates are reproducible run-to-run: equal elements are kept;
     otherwise the walk drops from ``a`` when that keeps the LCS at least as
-    long as dropping from ``b``. The walk keeps equal end elements first,
-    and each length it compares is the common prefix's plus the middles',
-    so trimming the common ends first leaves its result as it was.
+    long as dropping from ``b``. With T[i][j] the LCS length of the
+    middles' prefixes ``[:i]`` and ``[:j]``, T[i][j] - T[i-1][j] is 1 minus
+    bit i-1 of ``cols[j]``; where the elements differ, T[i][j] is the larger
+    of T[i-1][j] and T[i][j-1], so dropping from ``a`` keeps the LCS exactly
+    when that bit is set. The walk keeps equal end elements first, and each
+    length it compares is the common prefix's plus the middles', so
+    trimming the common ends first leaves its result as it was.
     """
     p, s = _trim(a, b)
     mid_a, mid_b = a[p:len(a) - s], b[p:len(b) - s]
     cols = _columns(mid_a, mid_b)
-
-    def length(i: int, j: int) -> int:  # LCS length of mid_a[:i] and mid_b[:j]
-        return i - (cols[j] & ((1 << i) - 1)).bit_count()
-
     out = []
     i, j = len(mid_a), len(mid_b)
     while i and j:
@@ -130,7 +130,7 @@ def lcs(a: list, b: list) -> list:
             out.append(mid_a[i - 1])
             i -= 1
             j -= 1
-        elif length(i - 1, j) >= length(i, j - 1):
+        elif cols[j] >> (i - 1) & 1:
             i -= 1
         else:
             j -= 1
@@ -138,12 +138,6 @@ def lcs(a: list, b: list) -> list:
     return a[:p] + out + a[len(a) - s:]
 
 
-def lcs_len(a: list, b: list) -> int:
-    """Length of the longest common subsequence, by the same ``==`` as ``lcs``."""
-    p, s = _trim(a, b)
-    return len(a) - _columns(a[p:len(a) - s], b[p:len(b) - s])[-1].bit_count()
-
-
 def tem_sim(new_event: list[Token], exist_event: list[Token]) -> float:
     """Similarity of two templates: LCS length over the shorter length."""
-    return lcs_len(new_event, exist_event) / min(len(new_event), len(exist_event))
+    return len(lcs(new_event, exist_event)) / min(len(new_event), len(exist_event))

@@ -219,6 +219,11 @@ class TestRunBench:
         with pytest.raises(ValueError, match="no non-blank line"):
             run_bench(RunConfig(), [10], tmp_path, pool_lines=[])
 
+    @pytest.mark.parametrize("n_templates", [0, -1])
+    def test_synthetic_pool_without_templates(self, tmp_path, n_templates):
+        with pytest.raises(ValueError, match="at least one template"):
+            run_bench(RunConfig(), [10], tmp_path, n_templates=n_templates)
+
 
 class TestMainCli:
     def test_parse_roundtrip(self, tmp_path, capsys):
@@ -333,9 +338,10 @@ class TestMainCli:
         [], ["frobnicate"], ["parse", "--bogus"], ["eval"],
         ["bench", "--sizes", "10", "--seed", "x"], ["bench"], ["bench", "--sizes=-5,0"],
         ["bench", "--sizes", ","], ["bench", "--sizes", "10", "--input", os.devnull],
+        ["bench", "--sizes", "10", "--templates", "0"],
     ], ids=["no-command", "unknown-command", "unknown-option", "eval-without-truth",
             "seed-not-int", "bench-without-sizes", "sizes-below-one", "sizes-none",
-            "bench-input-empty"])
+            "bench-input-empty", "templates-below-one"])
     def test_bad_command_line_is_one_line_usage_error(self, capsys, argv):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -485,6 +491,15 @@ class TestStateFiles:
         state["groups"][0]["values"] = values
         err = self.resume_with(tmp_path, capsys, json.dumps(state))
         assert err == "error: bad state file: group 1: bad values\n"
+
+    @pytest.mark.parametrize("threshold", [0, 2, True, "0.5", float("nan")],
+                             ids=["zero", "above-one", "bool", "str", "nan"])
+    def test_bad_merge_threshold(self, tmp_path, capsys, threshold):
+        # json.dumps writes NaN, which json.loads reads back as a float.
+        state = json.loads(self.saved_state(tmp_path))
+        state["merge_threshold"] = threshold
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert err == "error: bad state file: merge_threshold must be in (0, 1]\n"
 
     def test_deeply_nested_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, "[" * 100_000)

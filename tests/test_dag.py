@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logsieve.dag
-import logsieve.similarity
 from logsieve.cli import RunConfig, run_stream
 from logsieve.dag import LogGroup, ParseDag, render_template
 from logsieve.preprocess import ConfigError, select_split_token
@@ -461,10 +460,10 @@ class TestMerge:
 
     def test_accepted_merge_computes_one_lcs(self, monkeypatch):
         # The LCS that scores the winner is its merged template: placing the
-        # group folds nothing again, and neither tem_sim nor lcs_len runs.
-        # A created group has no wildcard, so its st is st_init, without
-        # current_st.
-        calls = {"lcs": 0, "tem_sim": 0, "lcs_len": 0, "current_st": 0}
+        # group folds nothing again, and tem_sim never runs. A created group
+        # has no wildcard, so its st is st_init, without current_st. A loaded
+        # merged node folds its template on first read, not on load.
+        calls = {"lcs": 0, "tem_sim": 0, "current_st": 0}
 
         def spy(name, real):
             def counted(*args):
@@ -472,16 +471,19 @@ class TestMerge:
                 return real(*args)
             return counted
 
-        for module, name in ((logsieve.dag, "lcs"), (logsieve.dag, "tem_sim"),
-                             (logsieve.similarity, "lcs_len"), (logsieve.dag, "current_st")):
-            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for name in calls:
+            monkeypatch.setattr(logsieve.dag, name, spy(name, getattr(logsieve.dag, name)))
         dag = ParseDag(merge_threshold=0.7)
         dag.parse_line(["send", "pkt", "alpha", "to", "host"])
-        assert calls == {"lcs": 0, "tem_sim": 0, "lcs_len": 0, "current_st": 0}
+        assert calls == {"lcs": 0, "tem_sim": 0, "current_st": 0}
         group, text = dag.parse_line(["send", "pkt", "alpha", "to", "host", "now"])
         assert group.output_id == 1 and text == "send pkt alpha to host"
-        assert calls == {"lcs": 1, "tem_sim": 0, "lcs_len": 0, "current_st": 0}
+        assert calls == {"lcs": 1, "tem_sim": 0, "current_st": 0}
         assert group.st == current_st(group.threshold)
+        loaded = ParseDag.from_json(dag.to_json())
+        assert calls["lcs"] == 1
+        assert loaded.output_text(1) == text
+        assert calls["lcs"] == 2
 
 
 # Shared head words and digit-bearing end tokens: lines share lengths and
@@ -635,6 +637,77 @@ class TestPlacement:
         assert placement(dag) == ({2: {("first", "svc"): [1]}, 5: {("first", "svc"): [2, 3]}},
                                   {1: [1, 2], 3: [3]})
         assert placement(ParseDag.from_json(dag.to_json())) == placement(dag)
+
+
+# Tokens for edited events and values: a head word, a plain and a
+# digit-bearing literal, and the wildcard.
+_EDIT_TOKENS = st.sampled_from(["svc", "a", "x1", "42", None])
+
+
+def edit_state(state, data):
+    """Make one random edit of a saved state: the merge setting, the order or
+    number of the groups, or one field of one group."""
+    groups = state["groups"]
+    kinds = ["threshold"] + (["drop", "swap", "count", "output", "event", "values"]
+                             if groups else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "threshold":
+        state["merge_threshold"] = data.draw(
+            st.sampled_from([None, 0.3, 0.6, 0.9, 1, 0, 2, True, "0.5"]))
+        return
+    i = data.draw(st.integers(0, len(groups) - 1))
+    group = groups[i]
+    if kind == "drop":
+        del groups[i]
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(groups) - 1))
+        groups[i], groups[j] = groups[j], groups[i]
+    elif kind == "count":
+        group["count"] = data.draw(st.integers(-1, 3))
+    elif kind == "output":
+        group["output"] = data.draw(st.integers(0, len(groups) + 1))
+    elif kind == "event":
+        event = group["event"]
+        j = data.draw(st.integers(0, len(event)))
+        if j < len(event) and data.draw(st.booleans()):
+            del event[j]
+        else:
+            event[j:j + 1] = [data.draw(_EDIT_TOKENS)]
+    else:
+        group["values"] = data.draw(st.lists(_EDIT_TOKENS, max_size=3))
+
+
+class TestEditedState:
+    """An edited saved state either fails to load with one ValueError naming
+    the state file, or loads a parser that saves it back as it was and parses
+    on. A merged node's template is folded on first read after a load, so
+    this checks the fold of every state a load accepts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(messages=st.lists(_HEADED_MESSAGE, max_size=20),
+           more=st.lists(_HEADED_MESSAGE, max_size=10),
+           threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
+    def test_edit_fails_to_load_or_loads_whole(self, messages, more, threshold, data):
+        dag = ParseDag(threshold)
+        for tokens in messages:
+            dag.parse_line(tokens)
+        state = json.loads(dag.to_json())
+        edit_state(state, data)
+        try:
+            dag = ParseDag.from_json(json.dumps(state))
+        except ValueError as exc:
+            assert str(exc).startswith("bad state file: ")
+            return
+        assert json.loads(dag.to_json()) == state
+        for tokens in more:
+            group, text = dag.parse_line(tokens)
+            assert text == render_template(dag.output_template(group.output_id))
+        assert_nodes_hold_the_registered_groups(dag)
+        if dag.merge_threshold is not None:
+            assert_merge_index_bounds(dag)
+        for output_id, node in dag.outputs.items():
+            events = [group.event for group in node.members]
+            assert dag.output_template(output_id) == reduce(dp_lcs, events)
 
 
 class TestSnapshotAndState:

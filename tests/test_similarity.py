@@ -9,7 +9,6 @@ from logsieve.similarity import (
     current_st,
     equ,
     lcs,
-    lcs_len,
     new_threshold_state,
     sim_seq,
     tem_sim,
@@ -211,6 +210,7 @@ class TestLcs:
 # merge candidates have, so the trimmed ends and the core both do work.
 _TOKENS = st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=3)
 _ENDS = st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=10)
+_LONG = st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), min_size=60, max_size=130)
 
 
 class TestTrimmedLcs:
@@ -224,7 +224,15 @@ class TestTrimmedLcs:
         a, b = p + x + s, p + y + s
         assert lcs(a, b) == dp_lcs(a, b)
         assert lcs(b, a) == dp_lcs(b, a)
-        assert lcs_len(a, b) == lcs_len(b, a) == len(dp_lcs(a, b))
+
+    # Middles of 60-130 elements put the walk's bit test at high positions
+    # of the columns, past any machine word.
+    @settings(max_examples=50, deadline=None)
+    @given(_ENDS, _LONG, _LONG, _ENDS)
+    def test_long_middles_equal_dp_backtrace(self, p, x, y, s):
+        a, b = p + x + s, p + y + s
+        assert lcs(a, b) == dp_lcs(a, b)
+        assert lcs(b, a) == dp_lcs(b, a)
 
 
 class TestLcsLen:
@@ -233,16 +241,16 @@ class TestLcsLen:
 
     @given(seqs, seqs)
     def test_equals_dp_and_brute_force(self, a, b):
-        assert lcs_len(a, b) == len(dp_lcs(a, b)) == brute_force_lcs_len(a, b)
+        assert len(lcs(a, b)) == len(dp_lcs(a, b)) == brute_force_lcs_len(a, b)
 
     def test_worked_example(self):
-        assert lcs_len([1, 2, 3, 4], [2, 4, 5]) == 2
-        assert lcs_len([WILDCARD, "a"], [WILDCARD, "a"]) == 2
-        assert lcs_len([], ["a"]) == lcs_len(["a"], []) == 0
+        assert len(lcs([1, 2, 3, 4], [2, 4, 5])) == 2
+        assert len(lcs([WILDCARD, "a"], [WILDCARD, "a"])) == 2
+        assert len(lcs([], ["a"])) == len(lcs(["a"], [])) == 0
 
     def test_longer_than_a_machine_word(self):
         a = ["x", "y"] * 50
-        assert lcs_len(a, a[1:] + ["z"]) == 99
+        assert len(lcs(a, a[1:] + ["z"])) == 99
 
 
 class TestTemSim:
