@@ -64,25 +64,33 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read a YAML configuration file into a RunConfig. A value of the wrong
-    type, or a file that is not YAML, raises ConfigError. ``merge_enabled:
-    false``, the default, sets no threshold; a given threshold is checked
-    either way."""
-    with open(path, encoding="utf-8") as fh:
-        # The YAML composer recurses once per nesting level.
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
+    type, or a file that is not YAML, raises ConfigError, whose message
+    starts with the path. ``merge_enabled: false``, the default, sets no
+    threshold; a given threshold is checked either way."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # The YAML composer recurses once per nesting level.
+            try:
+                raw = yaml.safe_load(fh) or {}
+            except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+                raise ConfigError(f"not valid YAML: {' '.join(str(exc).split())}") from None
+        return _run_config(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _run_config(raw) -> RunConfig:
+    """The RunConfig a parsed configuration file gives, or ConfigError."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise ConfigError("top level must be a mapping")
     known = {"preprocess_rules", "merge_enabled", "merge_threshold", "line_format"}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown keys {sorted(unknown, key=str)}")
 
     def check(key, ok, expected):
         if key in raw and not ok(raw[key]):
-            raise ConfigError(f"{path}: {key} must be {expected}, not {_BRIEF.repr(raw[key])}")
+            raise ConfigError(f"{key} must be {expected}, not {_BRIEF.repr(raw[key])}")
 
     check("preprocess_rules", lambda v: v is None or isinstance(v, list), "a list")
     check("merge_enabled", lambda v: v is None or isinstance(v, bool), "true or false")
@@ -94,10 +102,10 @@ def load_config(path) -> RunConfig:
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(k), str) for k in ("pattern", "replacement")
         ):
-            raise ConfigError(f"{path}: each preprocess rule needs a pattern and a replacement string")
+            raise ConfigError("each preprocess rule needs a pattern and a replacement string")
         unknown = set(entry) - {"pattern", "replacement"}
         if unknown:
-            raise ConfigError(f"{path}: unknown preprocess rule keys {sorted(unknown, key=str)}")
+            raise ConfigError(f"unknown preprocess rule keys {sorted(unknown, key=str)}")
         rules.append(PreprocessRule(entry["pattern"], entry["replacement"]))
     threshold = raw.get("merge_threshold")
     check_merge_threshold(threshold)
@@ -347,7 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "parse":
             dag = None
             if args.load_state:
-                dag = ParseDag.from_json(Path(args.load_state).read_text(encoding="utf-8"))
+                try:
+                    text = Path(args.load_state).read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"bad state file: not UTF-8 ({exc})") from None
+                dag = ParseDag.from_json(text)
                 if dag.merge_threshold != config.merge_threshold:
                     raise ValueError(f"{args.load_state}: the saved merge_threshold "
                                      "must match the config's")

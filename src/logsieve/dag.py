@@ -5,11 +5,11 @@ Traversal per message: length node (token count) -> token node (split key) ->
 similarity node (candidate groups) -> output node (final template). The nodes
 hold the groups themselves; ``groups`` lists them by ID. ``ends`` maps the
 length and end tokens of each group's first message to that group's
-similarity node, an exact memo of the route. ``exact`` maps the first message
-of each group whose event has no wildcard to the earliest such group: a line
-equal to it is that group's, with score 1.0, so it is routed without a scan.
-The groups are the only primary state, and ``_place`` enters a group in every
-node: a load replays each saved group through the placement a new group takes.
+similarity node, an exact memo of the route. ``exact`` maps each group's first
+message to the group: while the group has no wildcard, a line equal to it is
+that group's with score 1.0, routed without a scan. The groups are the only
+primary state; ``_place`` enters a group in every node and index, and a load
+replays each saved group through the placement a new group takes.
 A group derives its threshold from its first message and its event. Its split
 key is not stored: ``search`` (on a miss) or ``from_json`` derives it and
 hands it to ``_place``, which files the group under it.
@@ -109,10 +109,10 @@ class ParseDag:
         # (length, first, last token) of a group's first message -> its
         # similarity node, that list; derived by ``_place``, never serialized.
         self.ends: dict[tuple[int, str, str], list[LogGroup]] = {}
-        # First message -> the earliest wildcard-free group it created; the
-        # key is the group's own ``first_message``. Derived by ``_place`` and
-        # ``update_group``, never serialized. The empty message is left out,
-        # so that every line this memo routes is one the ends memo would.
+        # First message -> the group it created, the key being the group's
+        # own ``first_message``; derived by ``_place``, never serialized. No
+        # two groups share a first message: a line equal to one scores 1.0 on
+        # its group, which accepts it.
         self.exact: dict[tuple[str, ...], LogGroup] = {}
         self.cache_hits = 0  # lines either memo routed
         self.exact_hits = 0  # lines the exact-line memo routed
@@ -150,17 +150,16 @@ class ParseDag:
         Memo: the split key reads only the two end tokens, so a message whose
         length and ends a group's first message had routes to that group's
         node by one ``ends`` probe; it chooses a key only on a miss. Unseen
-        ends and the empty message route by split key, which a miss returns.
+        ends, and the empty message before its group exists, route by split
+        key, which a miss returns.
 
-        Exact-line memo: a line equal to the first message of a group with no
-        wildcard is that group's, with score 1.0, without a scan. The group
-        sits in the node the ends route to, and 1.0 with no wildcard ties
-        only an identical event, that is a later duplicate, which only a
-        loaded state holds; ``exact`` keeps the earliest. Once that group has
-        a wildcard it leaves the memo and the scan decides.
+        Exact-line memo: while a group has no wildcard, a line equal to its
+        first message is the group's, with score 1.0, without a scan. The
+        group sits in the node the ends route to, and only an identical
+        event, another group's of the same first message, could tie.
         """
         group = self.exact.get(tuple(tokens))
-        if group is not None:
+        if group is not None and not group.threshold.eta:  # the event's wildcard count
             self.cache_hits += 1
             self.exact_hits += 1
             return group, 1.0
@@ -246,9 +245,9 @@ class ParseDag:
     def _place(self, group: LogGroup, key: SplitKey, counts: dict[str, int] | None = None,
                merged: list[Token] | None = None) -> None:
         """Enter a group in the graph, under its first message's split key
-        ``key``, that message's length and ends in ``ends`` and, while its
-        event has no wildcard, the message in ``exact``. A group whose output
-        ID is its own opens that output node and, with merging on, enters its
+        ``key``, that message's length and ends in ``ends`` and the message in
+        ``exact``, entries no later call changes. A group whose output ID is
+        its own opens that output node and, with merging on, enters its
         literal counts (``counts``, if already counted) in the merge index. A
         group joining a node sets the node's template to ``merged``: the fold
         ``_try_merge`` computed for a created group, None for a loaded one."""
@@ -261,8 +260,7 @@ class ParseDag:
         groups.append(group)
         if message:  # equal ends give equal keys, so an entry never changes
             self.ends[len(message), message[0], message[-1]] = groups
-            if not group.threshold.eta:  # the event's wildcard count
-                self.exact.setdefault(message, group)
+        self.exact[message] = group
         if group.output_id == group_id:
             self.outputs[group_id] = OutputNode([group], event)
             if self.merge_threshold is not None:
@@ -277,8 +275,8 @@ class ParseDag:
     def update_group(self, group: LogGroup, tokens: list[str], score: float) -> int:
         """Absorb a matched message that scored ``score`` against the group:
         count it, wildcard every literal position that disagrees, and advance
-        the threshold counter; a group gaining its first wildcard leaves
-        ``exact``. Returns the number of wildcards added."""
+        the threshold counter. Only the group and its output node's cached
+        template and text change. Returns the number of wildcards added."""
         group.count += 1
         # sim_seq is 1.0 only when every literal position agreed.
         if score == 1.0:
@@ -290,8 +288,6 @@ class ParseDag:
                 event[i] = WILDCARD
                 replaced += 1
         if replaced:
-            if self.exact.get(group.first_message) is group:
-                del self.exact[group.first_message]
             group.threshold.eta += replaced
             group.st = current_st(group.threshold)
             node = self.outputs[group.output_id]
@@ -301,7 +297,6 @@ class ParseDag:
     def parse_line(self, tokens: list[str]) -> tuple[LogGroup, str]:
         """Match or create a group for one preprocessed, tokenized message;
         return the group and its output template's text as of this message."""
-        tokens = tuple(tokens)  # shared by the exact-line probe and a new group
         group, found = self.search(tokens)
         if group is None:  # ``found`` is the message's split key
             group = self.create_group(tokens, found)
@@ -371,6 +366,9 @@ class ParseDag:
                      f"group {gid}: bad values")
             fill = iter(values)
             message = tuple(next(fill) if t is None else t for t in event)
+            # A line equal to a group's first message scores 1.0 there and joins it.
+            _require(message not in dag.exact,
+                     f"group {gid}: repeats an earlier group's first message")
             # No line routed by a key can wildcard the end token the key names.
             key = select_split_token(message)
             _require(key is None or event[0 if key[0] == FIRST else -1] is not None,

@@ -54,8 +54,16 @@ def load_ground_truth(path) -> Partition:
 
     A header row is expected and skipped when its first cell is not an
     integer; files written without one still load. A leading UTF-8
-    byte-order mark is dropped, so it cannot hide the first line ID.
+    byte-order mark is dropped, so it cannot hide the first line ID. A file
+    that is not UTF-8 raises ValueError naming it.
     """
+    try:
+        return _read_partition(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
+
+
+def _read_partition(path) -> Partition:
     partition: Partition = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):

@@ -44,7 +44,9 @@ class PreprocessRule:
     def __init__(self, pattern: str, replacement: str):
         try:
             compiled = re.compile(pattern)
-        except re.error as exc:
+        # re raises OverflowError for a huge repeat count and RecursionError
+        # for deep nesting, not re.error.
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ConfigError(f"invalid preprocess pattern {pattern!r}: {exc}") from exc
         if any(c.isspace() for c in replacement):
             raise ConfigError(f"preprocess replacement {replacement!r} must not contain whitespace")

@@ -260,6 +260,17 @@ class TestMainCli:
         assert code == 0
         assert "f=1.0000" in capsys.readouterr().out
 
+    def test_truth_file_not_utf8(self, tmp_path, capsys):
+        inp = tmp_path / "in.log"
+        inp.write_text("Send file file_01\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(b"line_id,event_label\n1,E\xff\n")
+        code = main(["eval", "--input", str(inp), "--output-dir", str(tmp_path / "out"),
+                     "--truth", str(truth)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {truth}: not UTF-8 (")
+
     def test_bench_subcommand(self, tmp_path):
         code = main(["bench", "--sizes", "200,400", "--output-dir", str(tmp_path / "out")])
         assert code == 0
@@ -292,11 +303,12 @@ class TestMainCli:
         "preprocess_rules:\n  - pattern: 'file_[0-9]+'\n    replacement: F\n    flags: i\n",
         "1: x\nmerge: y\n",
         "[" * 100_000,
+        "preprocess_rules:\n  - pattern: 'a{99999999999}'\n    replacement: X\n",
     ], ids=["threshold-string", "special-chars-int", "rules-int", "pattern-int",
             "yaml-syntax", "enabled-string", "line-format-string", "threshold-nan-merge-off",
             "threshold-7-merge-off", "threshold-0-merge-off", "replacement-backslash",
             "line-format-empty", "rule-unknown-key", "unknown-keys-of-mixed-types",
-            "nested-too-deep"])
+            "nested-too-deep", "repeat-count-overflow"])
     def test_mistyped_config_is_one_line_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
@@ -306,7 +318,7 @@ class TestMainCli:
                      "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {cfg}: ")
 
     def test_special_chars_is_an_unknown_key(self, tmp_path, capsys):
         # The split rule's punctuation set is fixed; a config may not set it.
@@ -450,6 +462,23 @@ class TestStateFiles:
         assert code == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         return err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        state = tmp_path / "bad.json"
+        state.write_bytes(self.saved_state(tmp_path).encode("utf-8") + b"\xff")
+        code = main(["parse", "--input", os.devnull, "--output-dir", str(tmp_path / "o2"),
+                     "--load-state", str(state)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad state file: not UTF-8 (")
+
+    def test_repeated_first_message(self, tmp_path, capsys):
+        # A live run never saves two groups with one first message: a line
+        # equal to a group's first message scores 1.0 there and is accepted.
+        state = json.loads(self.saved_state(tmp_path))
+        state["groups"].append({**state["groups"][0], "output": 2})
+        err = self.resume_with(tmp_path, capsys, json.dumps(state))
+        assert err == "error: bad state file: group 2: repeats an earlier group's first message\n"
 
     def test_v1_file(self, tmp_path, capsys):
         err = self.resume_with(tmp_path, capsys, json.dumps(V1_STATE))

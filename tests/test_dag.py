@@ -263,12 +263,19 @@ class TestCache:
            threshold=st.sampled_from([None, 0.3, 0.6, 0.9]), data=st.data())
     def test_exact_hit_is_the_scan_answer(self, messages, threshold, data):
         # None turns merging off; the parser is saved and loaded at a random
-        # line. A load replays no duplicate here: a live run makes none.
+        # line. The memo holds every group's first message, the empty one
+        # and those of wildcarded groups included, and never changes an entry.
         split = data.draw(st.integers(0, len(messages)))
         dag = ParseDag(threshold)
+
+        def assert_index():
+            assert dag.exact == {g.first_message: g for g in dag.groups.values()}
+            assert all(message is g.first_message for message, g in dag.exact.items())
+
         for line_id, tokens in enumerate(messages, start=1):
             if line_id == split + 1:
                 dag = ParseDag.from_json(dag.to_json())
+                assert_index()
             expected, hits = brute_force_search(dag, tokens), dag.exact_hits
             group, found = dag.search(tokens)
             if dag.exact_hits > hits:
@@ -277,28 +284,37 @@ class TestCache:
                 dag.create_group(tokens, found)
             else:
                 dag.update_group(group, tokens, found)
-            for message, entry in dag.exact.items():
-                assert message is entry.first_message and None not in entry.event
-            assert sorted(g.group_id for g in dag.exact.values()) == [
-                g.group_id for g in dag.groups.values() if g.first_message and None not in g.event]
+            assert_index()
 
-    def test_duplicate_groups_of_a_loaded_state(self):
-        # Two identical wildcard-free groups share a node, which only a saved
-        # state can hold. The memo keeps group 1; once "svc a c" wildcards
-        # it, group 1 leaves the memo and the scan picks group 2, which
-        # scores 1.0 too but has fewer wildcards.
-        saved = {"count": 1, "event": ["svc", "a", "b"], "values": []}
-        state = {"schema": "logsieve-state-v8", "merge_threshold": None,
-                 "groups": [{**saved, "output": 1}, {**saved, "output": 2}]}
-        dag = ParseDag.from_json(json.dumps(state))
-        assert dag.exact == {("svc", "a", "b"): dag.groups[1]}
-        assert dag.parse_line(["svc", "a", "b"])[0].group_id == 1
-        assert dag.exact_hits == 1
-        assert dag.parse_line(["svc", "a", "c"])[0].group_id == 1
-        assert dag.groups[1].event == ["svc", "a", WILDCARD]
-        assert dag.exact == {}
-        assert dag.parse_line(["svc", "a", "b"])[0].group_id == 2
-        assert dag.exact_hits == 1 and dag.groups[2].count == 2
+    @pytest.mark.parametrize("events", [
+        [["svc", "a", "b"], ["svc", "a", "b"]],
+        [["svc", "a", WILDCARD], ["svc", "a", "b"]],
+        [[], []],
+    ], ids=["two-literal-groups", "earlier-wildcarded-group", "two-empty-messages"])
+    def test_repeated_first_message_is_rejected(self, events):
+        # A live run never repeats a first message: a line equal to one
+        # scores 1.0 on its group, which accepts it. Group 1's values give
+        # the first message "svc a b" in each case but the empty one.
+        groups = [{"count": 1, "event": event, "output": gid,
+                   "values": ["b"] * event.count(WILDCARD)}
+                  for gid, event in enumerate(events, start=1)]
+        state = {"schema": "logsieve-state-v8", "merge_threshold": None, "groups": groups}
+        with pytest.raises(ValueError, match=r"^bad state file: group 2: repeats an earlier "
+                                             r"group's first message$"):
+            ParseDag.from_json(json.dumps(state))
+
+    def test_repeated_empty_messages_choose_the_key_once(self):
+        # The first empty message creates the group and chooses its key; the
+        # memo routes the rest, as it routes any repeated first message.
+        calls = []
+        real = logsieve.dag.select_split_token
+        dag = ParseDag()
+        with mock.patch.object(logsieve.dag, "select_split_token",
+                               lambda tokens: calls.append(1) or real(tokens)):
+            results = [dag.parse_line([]) for _ in range(4)]
+        assert [(group.group_id, text) for group, text in results] == [(1, "")] * 4
+        assert len(calls) == 1
+        assert (dag.cache_hits, dag.exact_hits, dag.groups[1].count) == (3, 3, 4)
 
     def test_cache_miss_falls_back_to_search(self):
         dag = ParseDag()

@@ -44,6 +44,13 @@ class TestApplyPreprocess:
         with pytest.raises(ConfigError):
             PreprocessRule("[unclosed", "X")
 
+    @pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 1200 + "a" + ")" * 1200],
+                             ids=["repeat-count-overflow", "nested-too-deep"])
+    def test_pattern_re_cannot_compile_rejected_at_load(self, pattern):
+        # re raises OverflowError and RecursionError here, not re.error.
+        with pytest.raises(ConfigError, match="invalid preprocess pattern"):
+            PreprocessRule(pattern, "X")
+
     def test_whitespace_replacement_rejected(self):
         with pytest.raises(ConfigError):
             PreprocessRule("a+", "two words")
